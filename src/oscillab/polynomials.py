@@ -144,18 +144,6 @@ def log_derivative(p: RootPolynomial, z):
     return complex(out) if scalar else out
 
 
-def _logabs_dp_coeff(p: RootPolynomial, flat: np.ndarray) -> np.ndarray:
-    # expand around the root centroid: centered roots keep the expanded
-    # coefficients small, which keeps Horner cancellation at rounding level
-    roots = np.asarray(p.roots)
-    c = roots.mean()
-    coeffs = np.poly(roots - c)
-    dcoeffs = np.polyder(coeffs)
-    vals = np.polyval(dcoeffs, flat - c)
-    with np.errstate(divide="ignore"):
-        return np.log(np.abs(vals)) + math.log(abs(p.lead))
-
-
 def _logabs_dp_logroute(p: RootPolynomial, flat: np.ndarray) -> np.ndarray:
     roots = np.asarray(p.roots)
     thresh = _NEAR_ROOT * p.scale()
@@ -185,30 +173,35 @@ def _logabs_dp_logroute(p: RootPolynomial, flat: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         out[far] = la[far] + np.log(np.abs(S[far]))
     # On or next to a root the log route cancels badly; switch to the
-    # cofactor form p'(z) ~ lead * prod_{k != j} (z - root_k).
+    # cofactor form.  The roots within thresh of the nearest one, c, count
+    # as one root of multiplicity m, so with Q = prod over the others
+    #   p'(z) = lead (z - c)^(m-1) Q(z) [m + (z - c) Q'(z)/Q(z)].
     for i in np.nonzero(close)[0]:
-        j = nearest_j[i]
-        others = np.delete(roots, j)
-        diff = flat[i] - others
-        s_rest = (1.0 / diff).sum() if others.size else 0.0
-        base = math.log(abs(p.lead))
-        if others.size:
-            base += float(np.log(np.abs(diff)).sum())
-        corr = abs(1.0 + (flat[i] - roots[j]) * s_rest)
-        out[i] = base + (math.log(corr) if corr > 0 else -math.inf)
+        z, c = flat[i], roots[nearest_j[i]]
+        cluster = np.abs(roots - c) < thresh
+        m = int(cluster.sum())
+        diff = z - roots[~cluster]
+        corr = abs(m + (z - c) * (1.0 / diff).sum())
+        if corr == 0 or (m > 1 and z == c):
+            out[i] = -math.inf
+            continue
+        out[i] = (math.log(abs(p.lead)) + float(np.log(np.abs(diff)).sum())
+                  + math.log(corr))
+        if m > 1:
+            out[i] += (m - 1) * math.log(abs(z - c))
     return out
 
 
 def logabs_derivative(p: RootPolynomial, z):
-    """log |p'(z)|.  Small degrees go through expanded coefficients, large
-    ones through |p| * |p'/p| with a cofactor fallback next to roots; the
-    two routes agree to ~1e-9 where they overlap."""
+    """log |p'(z)| as log |p| + log |p'/p|, both sums over the roots, so no
+    expanded coefficient is ever formed.  Within 1e-12 (relative to the
+    root scale) of a root, where p'/p cancels badly, the cofactor form
+    takes over, with a tight root cluster counted as one multiple root;
+    the result is -inf exactly on a multiple root."""
     arr, scalar = _as_array(z)
     flat = arr.ravel()
     if p.n == 0 or p.lead == 0:
         out = np.full(flat.shape, -math.inf)
-    elif p.n <= 64:
-        out = _logabs_dp_coeff(p, flat)
     else:
         out = _logabs_dp_logroute(p, flat)
     out = out.reshape(arr.shape)

@@ -4,16 +4,16 @@ The optimizer is a multi-restart pattern search over root positions: each
 step perturbs one root by a complex Gaussian of the current step radius,
 projects it back into the domain, and keeps the move when the factor
 drops.  The radius halves after a sweep with no improvement.  The search
-loop scores candidates on a fixed boundary quadrature for speed; the final
-incumbent is re-scored with the adaptive route, so the reported factor is
-the accurate one.
+loop scores candidates on a fixed boundary quadrature for speed, and
+incrementally: it keeps the per-node sums of log|z - r| and 1/(z - r) over
+the roots, so a candidate that moves one root costs O(nodes), not
+O(nodes * n).  The final incumbent is re-scored with the adaptive route, so
+the reported factor is the accurate one.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -122,15 +122,42 @@ def _boundary_quadrature(K: ConvexDomain, n: int):
     return np.concatenate(zs_all), np.concatenate(ws_all)
 
 
+def _node_sums(roots: np.ndarray, zs: np.ndarray):
+    """Per-node log|p| and p'/p of prod (z - root_j): the sums over the
+    roots of log|z - root_j| and 1/(z - root_j)."""
+    dz = zs[:, None] - roots[None, :]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.log(np.abs(dz)).sum(axis=1), (1.0 / dz).sum(axis=1)
+
+
+def _moved_sums(sums, roots: np.ndarray, zs: np.ndarray, j: int,
+                z: complex):
+    """The node sums after root j moves to z: add the new root's terms and
+    subtract the old root's, in O(nodes).  When that is not finite (a root
+    on a node) the sums are recomputed in full."""
+    plog, inv = sums
+    new, old = zs - z, zs - roots[j]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        plog = plog + (np.log(np.abs(new)) - np.log(np.abs(old)))
+        inv = inv + (1.0 / new - 1.0 / old)
+    if np.isfinite(plog).all() and np.isfinite(inv).all():
+        return plog, inv
+    moved = roots.copy()
+    moved[j] = z
+    return _node_sums(moved, zs)
+
+
 def _fast_log_M(roots: np.ndarray, zs: np.ndarray, ws: np.ndarray,
                 q: float) -> float:
     """log of the oscillation factor of prod (z - root_j) on the fixed
     quadrature; nodes colliding with a root drop out of both norms."""
-    dz = zs[:, None] - roots[None, :]
-    ad = np.abs(dz)
+    return _log_M_from_sums(*_node_sums(roots, zs), ws, q)
+
+
+def _log_M_from_sums(plog: np.ndarray, inv: np.ndarray, ws: np.ndarray,
+                     q: float) -> float:
+    """The value step of _fast_log_M, from the node sums."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        plog = np.log(ad).sum(axis=1)
-        inv = (1.0 / dz).sum(axis=1)
         dlog = plog + np.log(np.abs(inv))
     bad = ~np.isfinite(plog)
     if bad.any():
@@ -180,8 +207,10 @@ def _restart_search(K, config, restart, budget, zs, ws):
     roots = _init_roots(K, config, rng)
     if __debug__:
         assert all(K.contains(z) for z in roots), "infeasible start"
-    cur = _fast_log_M(roots, zs, ws, config.q)
+    sums = _node_sums(roots, zs)
+    cur = _log_M_from_sums(*sums, ws, config.q)
     evals = 1
+    accepted = 0
     trace = [(0, cur)]
     radius = 0.25 * K.diameter
     while evals < budget and radius > 1e-9 * K.diameter:
@@ -189,16 +218,25 @@ def _restart_search(K, config, restart, budget, zs, ws):
         for j in rng.permutation(config.n):
             if evals >= budget:
                 break
-            prop = roots.copy()
             step = radius * complex(rng.standard_normal(),
                                     rng.standard_normal())
-            prop[j] = _project(K, prop[j] + step)
-            val = _fast_log_M(prop, zs, ws, config.q)
+            z = _project(K, roots[j] + step)
+            prop = _moved_sums(sums, roots, zs, j, z)
+            val = _log_M_from_sums(*prop, ws, config.q)
             evals += 1
             if val < cur:
-                roots, cur = prop, val
+                roots[j] = z
+                sums, cur = prop, val
                 improved = True
                 trace.append((evals - 1, val))
+                accepted += 1
+                # a full recompute every n accepted moves bounds the
+                # rounding drift of the incremental sums; the incumbent is
+                # rescored from them so that a proposal projected back onto
+                # the same root ties with it exactly, as in a full rescore
+                if accepted % config.n == 0:
+                    sums = _node_sums(roots, zs)
+                    cur = _log_M_from_sums(*sums, ws, config.q)
         if not improved:
             radius *= 0.5
     return roots, cur, evals, trace
@@ -223,8 +261,8 @@ def minimize_oscillation(K: ConvexDomain,
                          config: SearchConfig) -> SearchResult:
     """Multi-restart pattern search for the smallest oscillation factor.
 
-    Restarts use independent derived seeds and merge deterministically in
-    restart order, so results do not depend on the worker count."""
+    Restarts run one after another with independent derived seeds and
+    merge deterministically in restart order."""
     if config.budget < 10 * config.n:
         raise ValueError(
             f"budget {config.budget} too small: need at least 10*n = "
@@ -234,15 +272,8 @@ def minimize_oscillation(K: ConvexDomain,
     base, extra = divmod(config.budget, config.restarts)
     budgets = [base + (1 if i < extra else 0)
                for i in range(config.restarts)]
-    workers = int(os.environ.get("OSC_LAB_THREADS", "1"))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            runs = list(pool.map(
-                lambda i: _restart_search(K, config, i, budgets[i], zs, ws),
-                range(config.restarts)))
-    else:
-        runs = [_restart_search(K, config, i, budgets[i], zs, ws)
-                for i in range(config.restarts)]
+    runs = [_restart_search(K, config, i, budgets[i], zs, ws)
+            for i in range(config.restarts)]
 
     # merge: sequential evaluation indexing, incumbent = running minimum
     merged = []

@@ -6,7 +6,9 @@ hand.  Everything else is checked against dense composite trapezoid sums
 and brute-force meshes."""
 
 import math
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,7 +20,6 @@ from oscillab.polynomials import (
     MarkovFactor,
     QuadratureGrid,
     RootPolynomial,
-    _logabs_dp_coeff,
     _logabs_dp_logroute,
     evaluate,
     inverse_markov_factor,
@@ -29,6 +30,7 @@ from oscillab.polynomials import (
     sup_norm,
 )
 from oscillab.sampling import random_convex_polygon, random_roots_in, trial_rng
+from oscillab.search import reference_families
 
 TWO_PI = 2 * math.pi
 
@@ -168,7 +170,11 @@ def test_derivative_routes_agree():
     p = RootPolynomial(1.0, roots)
     ss = rng.uniform(0, K.perimeter, size=200)
     zs = K.gamma(ss)
-    a = _logabs_dp_coeff(p, zs)
+    # interior roots expanded about their centroid keep the coefficients
+    # well conditioned, so the coefficient form is a fair reference here
+    c = np.mean(roots)
+    dcoeffs = np.polyder(np.poly(np.asarray(roots) - c))
+    a = np.log(np.abs(np.polyval(dcoeffs, zs - c)))
     b = _logabs_dp_logroute(p, zs)
     np.testing.assert_allclose(a, b, rtol=1e-8, atol=1e-8)
 
@@ -195,6 +201,55 @@ def test_derivative_exactly_on_root():
     others = np.asarray([r for i, r in enumerate(roots) if i != 3])
     want = float(np.log(np.abs(z0 - others)).sum())
     assert got == pytest.approx(want, rel=1e-9)
+
+
+def _mp_logabs_derivative(roots, z):
+    """log |p'(z)| of the monic polynomial, as log |p(z) sum 1/(z - r)| at
+    50 digits; z must not be a root."""
+    with mpmath.workdps(50):
+        d = [mpmath.mpc(z) - mpmath.mpc(r) for r in roots]
+        dp = mpmath.fprod(d) * mpmath.fsum(1 / x for x in d)
+        return float(mpmath.log(abs(dp)))
+
+
+def _oracle_case(name):
+    rng = trial_rng(20260818, 31)
+    square = ConvexDomain.unit_square()
+    boundary = square.gamma(rng.uniform(0, square.perimeter, size=40))
+    if name == "equispaced-square-n64":
+        roots = reference_families(square, 64)[1].roots
+        near = [r + 1e-7 * complex(*rng.normal(size=2)) for r in roots[:8]]
+        return roots, np.concatenate([boundary, near])
+    if name == "clustered-cloud":
+        roots = tuple(0.5 + 0.5j + 1e-3 * complex(*rng.normal(size=2))
+                      for _ in range(40))
+        ring = 0.5 + 0.5j + 0.05 * np.exp(2j * math.pi * rng.uniform(size=8))
+        return roots, np.concatenate([boundary, ring])
+    # a root of multiplicity 31 plus a few simple ones
+    roots = (0.3 + 0.4j,) * 31 + tuple(random_roots_in(square, 5, rng))
+    off = 0.3 + 0.4j + 1e-3 * np.exp(2j * math.pi * rng.uniform(size=8))
+    return roots, np.concatenate([boundary, off])
+
+
+@pytest.mark.parametrize("name", ["equispaced-square-n64", "clustered-cloud",
+                                  "multiplicity-31"])
+def test_logabs_derivative_against_mpmath(name):
+    roots, zs = _oracle_case(name)
+    got = logabs_derivative(RootPolynomial(1.0, roots), zs)
+    want = np.array([_mp_logabs_derivative(roots, z) for z in zs])
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("n", [8, 65])
+def test_repeated_root_without_warnings(n):
+    K = ConvexDomain.unit_square()
+    p = reference_families(K, n)[2]  # n-fold root at the vertex 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert logabs_derivative(p, 0j) == -math.inf
+        M = inverse_markov_factor(p, K, math.inf).M
+    # |p'| / |p| = n / |z|, both maximal at the far corner |z| = sqrt 2
+    assert M == pytest.approx(n / math.sqrt(2), rel=1e-9)
 
 
 def test_scale_invariance_of_markov_factor():

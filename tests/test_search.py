@@ -19,6 +19,9 @@ from oscillab.search import (
     upper_witness_check,
     _boundary_quadrature,
     _fast_log_M,
+    _log_M_from_sums,
+    _moved_sums,
+    _node_sums,
 )
 
 SEED = 20260818
@@ -101,6 +104,31 @@ def test_thread_count_invariance():
         else:
             os.environ["OSC_LAB_THREADS"] = old
     assert a.as_record() == b.as_record()
+
+
+@pytest.mark.parametrize("n", [16, 64])
+@pytest.mark.parametrize("K", [DISK, SQUARE], ids=["disk", "square"])
+def test_incremental_objective_matches_full(K, n):
+    # every move is accepted and the sums are never recomputed on purpose,
+    # so rounding drift would accumulate over all of them
+    rng = np.random.default_rng(SEED + n)
+    zs, ws = _boundary_quadrature(K, n)
+    roots = np.asarray(K.sample_uniform(n, rng), dtype=complex)
+    sums = _node_sums(roots, zs)
+    for move in range(300):
+        j = int(rng.integers(n))
+        if move == 150:
+            z = complex(zs[int(rng.integers(zs.size))])
+        elif move % 2:
+            z = complex(K.gamma(rng.uniform(0.0, K.perimeter)))
+        else:
+            z = complex(K.sample_uniform(1, rng)[0])
+        sums = _moved_sums(sums, roots, zs, j, z)
+        roots[j] = z
+        for q in (1.0, 2.0, math.inf):
+            want = _fast_log_M(roots, zs, ws, q)
+            assert _log_M_from_sums(*sums, ws, q) == pytest.approx(
+                want, rel=1e-12, abs=0), (move, q)
 
 
 def test_scale_equivariance():
