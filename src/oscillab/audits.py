@@ -23,9 +23,9 @@ from .polynomials import (
     _golden_max,
     log_abs,
     log_derivative,
-    logabs_derivative,
     lq_norm,
     sup_norm,
+    sup_norms,
 )
 from .sampling import (
     random_convex_polygon,
@@ -747,8 +747,8 @@ def infnorm_theorem_audit(p: RootPolynomial, K: ConvexDomain
                           ) -> AuditReport:
     """|p'|_inf >= 0.001 (w/d^2) n |p|_inf for roots in K."""
     n = max(p.n, 1)
-    log_dp = sup_norm(p, K, flog=lambda z: logabs_derivative(p, z)).log_value
-    log_p = sup_norm(p, K).log_value
+    sup_p, sup_dp = sup_norms(p, K)
+    log_dp, log_p = sup_dp.log_value, sup_p.log_value
     coeff = 0.001 * K.width / K.diameter ** 2 * n
     return AuditReport("infnorm", log_dp, math.log(coeff) + log_p,
                        detail={"scale": "log", "n": n, "coeff": coeff})

@@ -42,7 +42,7 @@ def _parse_q(text: str) -> float:
     if text.strip().lower() in ("inf", "infinity", "oo"):
         return math.inf
     q = float(text)
-    if q < 1:
+    if not q >= 1:
         raise argparse.ArgumentTypeError("q must be at least 1 (or inf)")
     return q
 

@@ -538,7 +538,7 @@ def case_split(p: RootPolynomial, K: ConvexDomain, q: float,
     (degree floor, chord-threshold schedule) actually hold."""
     if q == math.inf:
         raise ValueError("the case split integrates |p|^q; q must be finite")
-    if q < 1:
+    if not q >= 1:
         raise ValueError("q must be at least 1")
     n = p.n
     if n < 1:

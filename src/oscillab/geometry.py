@@ -16,6 +16,7 @@ transfinite diameter by optimizing point configurations on the boundary.
 from __future__ import annotations
 
 import bisect
+import cmath
 import json
 import math
 from dataclasses import dataclass
@@ -118,6 +119,8 @@ class ConvexDomain:
             if vertices is None or len(vertices) < 3:
                 raise ValueError("polygon needs at least 3 vertices")
             self.vertices = tuple(complex(v) for v in vertices)
+            if not all(cmath.isfinite(v) for v in self.vertices):
+                raise ValueError("polygon vertices must be finite")
             self.center = None
             self.radius = None
             self._init_polygon()
@@ -127,6 +130,9 @@ class ConvexDomain:
             self.vertices = None
             self.center = complex(center)
             self.radius = float(radius)
+            if not (cmath.isfinite(self.center)
+                    and math.isfinite(self.radius)):
+                raise ValueError("disk center and radius must be finite")
             self._init_disk()
         else:
             raise ValueError(f"unknown domain kind {kind!r}")

@@ -5,6 +5,16 @@ Everything works at degrees in the thousands: absolute values go through
 sums of logs, derivatives through the logarithmic derivative, and norms
 through shifted exponentials, so nothing overflows before the final
 exponentiation (which may legitimately return inf while M stays finite).
+
+One kernel computes every root-to-node sum: for a chunk of points it forms
+z - r_j against the whole root axis, takes |z - r_j| once, and reduces it
+to log|p| and, for the derivative, the nearest-root distance and
+sum 1/(z - r_j).
+A chunk holds about 2^16 (point, root) pairs, roughly 1 MB of complex
+temporaries, so the working set stays inside a 2 MB per-core L2 cache.
+Because the roots axis is never split, a point's value does not depend on
+the batch it arrives in.  The sup norms of p and p' share one dense mesh
+pass (`sup_norms`), which is how M_inf is computed.
 """
 
 from __future__ import annotations
@@ -18,8 +28,9 @@ import numpy as np
 from .errors import SingularPoint, ZeroNorm
 from .geometry import ConvexDomain
 
-# max pairwise (point, root) entries handled per block
-_BLOCK = 1 << 21
+# (point, root) pairs per kernel chunk: about 1 MB of complex temporaries,
+# which stays inside a 2 MB per-core L2 cache
+_CHUNK_PAIRS = 1 << 16
 
 # 16-node Gauss-Legendre rule on [-1, 1]
 _XG, _WG = np.polynomial.legendre.leggauss(16)
@@ -42,6 +53,11 @@ class RootPolynomial:
         object.__setattr__(self, "roots",
                            tuple(complex(r) for r in self.roots))
         object.__setattr__(self, "lead", complex(self.lead))
+        # the kernels' copy of the roots, built once; not a dataclass field,
+        # so equality, hashing and to_json see only the tuple
+        arr = np.array(self.roots, dtype=complex)
+        arr.flags.writeable = False
+        object.__setattr__(self, "_root_array", arr)
 
     @property
     def n(self) -> int:
@@ -50,7 +66,7 @@ class RootPolynomial:
     def scale(self) -> float:
         if not self.roots:
             return 1.0
-        return max(1.0, max(abs(r) for r in self.roots))
+        return max(1.0, float(np.max(np.abs(self._root_array))))
 
     def monic(self) -> "RootPolynomial":
         return RootPolynomial(1.0, self.roots)
@@ -73,24 +89,43 @@ def _as_array(z):
     return arr, arr.ndim == 0
 
 
-def _root_blocks(n_points: int, n_roots: int) -> int:
-    per = max(1, _BLOCK // max(1, n_points))
-    return max(1, math.ceil(n_roots / per))
+def _point_chunks(n_points: int, n_roots: int):
+    """Slices along the points of about _CHUNK_PAIRS (point, root) pairs
+    each; the roots axis is never split."""
+    step = max(1, _CHUNK_PAIRS // max(1, n_roots))
+    for start in range(0, n_points, step):
+        yield slice(start, start + step)
+
+
+def _root_sums(roots: np.ndarray, flat: np.ndarray, derivative: bool):
+    """Per point: sum_j log|z - r_j| and, when derivative is set, also
+    min_j |z - r_j| and sum_j 1/(z - r_j), all from one |z - r_j| per pair.
+    The reciprocal sum is inf or nan at a point sitting on a root; callers
+    test the nearest distance first."""
+    la = np.empty(flat.shape)
+    nearest = np.empty(flat.shape) if derivative else None
+    recip = np.empty(flat.shape, dtype=complex) if derivative else None
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for sl in _point_chunks(flat.size, roots.size):
+            diff = flat[sl, None] - roots[None, :]
+            ad = np.abs(diff)
+            la[sl] = np.log(ad).sum(axis=1)
+            if derivative:
+                nearest[sl] = ad.min(axis=1)
+                recip[sl] = (1.0 / diff).sum(axis=1)
+    return la, nearest, recip
 
 
 def log_abs(p: RootPolynomial, z) -> np.ndarray:
-    """log |p(z)|, elementwise; -inf exactly on a root."""
+    """log |p(z)|, elementwise; -inf exactly on a root.  A point's value
+    does not depend on the batch it arrives in (see the module notes on
+    the point-chunked kernel)."""
     arr, scalar = _as_array(z)
     flat = arr.ravel()
     out = np.full(flat.shape, math.log(abs(p.lead)) if p.lead != 0
                   else -math.inf)
     if p.roots and p.lead != 0:
-        roots = np.asarray(p.roots)
-        nb = _root_blocks(flat.size, roots.size)
-        for blk in np.array_split(roots, nb):
-            d = np.abs(flat[:, None] - blk[None, :])
-            with np.errstate(divide="ignore"):
-                out += np.log(d).sum(axis=1)
+        out += _root_sums(p._root_array, flat, False)[0]
     out = out.reshape(arr.shape)
     return float(out) if scalar else out
 
@@ -105,10 +140,9 @@ def log_evaluate(p: RootPolynomial, z) -> np.ndarray:
         return complex(out[0]) if scalar else out.reshape(arr.shape)
     out = np.full(flat.shape, complex(np.log(complex(p.lead))))
     if p.roots:
-        roots = np.asarray(p.roots)
-        nb = _root_blocks(flat.size, roots.size)
-        for blk in np.array_split(roots, nb):
-            out += np.log(flat[:, None] - blk[None, :]).sum(axis=1)
+        roots = p._root_array
+        for sl in _point_chunks(flat.size, roots.size):
+            out[sl] += np.log(flat[sl, None] - roots[None, :]).sum(axis=1)
     out = out.reshape(arr.shape)
     return complex(out) if scalar else out
 
@@ -131,53 +165,29 @@ def log_derivative(p: RootPolynomial, z):
     flat = arr.ravel()
     out = np.zeros(flat.shape, dtype=complex)
     if p.roots:
-        roots = np.asarray(p.roots)
-        thresh = _SINGULAR * p.scale()
-        nb = _root_blocks(flat.size, roots.size)
-        for blk in np.array_split(roots, nb):
-            diff = flat[:, None] - blk[None, :]
-            if (np.abs(diff) < thresh).any():
-                raise SingularPoint(
-                    "logarithmic derivative evaluated on a root")
-            out += (1.0 / diff).sum(axis=1)
+        _, nearest, out = _root_sums(p._root_array, flat, True)
+        if (nearest < _SINGULAR * p.scale()).any():
+            raise SingularPoint("logarithmic derivative evaluated on a root")
     out = out.reshape(arr.shape)
     return complex(out) if scalar else out
 
 
-def _logabs_dp_logroute(p: RootPolynomial, flat: np.ndarray) -> np.ndarray:
-    roots = np.asarray(p.roots)
+def _logabs_dp(p: RootPolynomial, flat: np.ndarray):
+    """(log |p|, log |p'|) at every point from one kernel pass."""
+    roots = p._root_array
     thresh = _NEAR_ROOT * p.scale()
-    la = np.full(flat.shape, math.log(abs(p.lead)))
-    S = np.zeros(flat.shape, dtype=complex)
-    nearest = np.full(flat.shape, np.inf)
-    nearest_j = np.zeros(flat.shape, dtype=np.int64)
-    nb = _root_blocks(flat.size, roots.size)
-    offset = 0
-    for blk in np.array_split(roots, nb):
-        diff = flat[:, None] - blk[None, :]
-        ad = np.abs(diff)
-        jmin = np.argmin(ad, axis=1)
-        dmin = ad[np.arange(flat.size), jmin]
-        upd = dmin < nearest
-        nearest[upd] = dmin[upd]
-        nearest_j[upd] = jmin[upd] + offset
-        with np.errstate(divide="ignore"):
-            la += np.log(ad).sum(axis=1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            S += np.where(ad > 0, 1.0 / np.where(ad > 0, diff, 1.0),
-                          0.0).sum(axis=1)
-        offset += blk.size
-    out = np.empty(flat.shape)
+    la, nearest, recip = _root_sums(roots, flat, True)
+    la += math.log(abs(p.lead))
     close = nearest < thresh
-    far = ~close
     with np.errstate(divide="ignore", invalid="ignore"):
-        out[far] = la[far] + np.log(np.abs(S[far]))
+        out = la + np.log(np.abs(recip))
     # On or next to a root the log route cancels badly; switch to the
     # cofactor form.  The roots within thresh of the nearest one, c, count
     # as one root of multiplicity m, so with Q = prod over the others
     #   p'(z) = lead (z - c)^(m-1) Q(z) [m + (z - c) Q'(z)/Q(z)].
     for i in np.nonzero(close)[0]:
-        z, c = flat[i], roots[nearest_j[i]]
+        z = flat[i]
+        c = roots[int(np.argmin(np.abs(z - roots)))]
         cluster = np.abs(roots - c) < thresh
         m = int(cluster.sum())
         diff = z - roots[~cluster]
@@ -189,23 +199,32 @@ def _logabs_dp_logroute(p: RootPolynomial, flat: np.ndarray) -> np.ndarray:
                   + math.log(corr))
         if m > 1:
             out[i] += (m - 1) * math.log(abs(z - c))
-    return out
+    return la, out
 
 
-def logabs_derivative(p: RootPolynomial, z):
+def logabs_derivative(p: RootPolynomial, z, with_log_abs: bool = False):
     """log |p'(z)| as log |p| + log |p'/p|, both sums over the roots, so no
     expanded coefficient is ever formed.  Within 1e-12 (relative to the
     root scale) of a root, where p'/p cancels badly, the cofactor form
     takes over, with a tight root cluster counted as one multiple root;
-    the result is -inf exactly on a multiple root."""
+    the result is -inf exactly on a multiple root.
+
+    A point's value does not depend on the batch it arrives in.  With
+    with_log_abs the pair (log |p(z)|, log |p'(z)|) comes back from the
+    same kernel pass, the first equal to log_abs(p, z) bit for bit."""
     arr, scalar = _as_array(z)
     flat = arr.ravel()
     if p.n == 0 or p.lead == 0:
+        la = np.full(flat.shape, math.log(abs(p.lead)) if p.lead != 0
+                     else -math.inf)
         out = np.full(flat.shape, -math.inf)
     else:
-        out = _logabs_dp_logroute(p, flat)
-    out = out.reshape(arr.shape)
-    return float(out) if scalar else out
+        la, out = _logabs_dp(p, flat)
+    if scalar:
+        la, out = float(la[0]), float(out[0])
+    else:
+        la, out = la.reshape(arr.shape), out.reshape(arr.shape)
+    return (la, out) if with_log_abs else out
 
 
 # ------------------------------------------------------------- quadrature
@@ -342,19 +361,21 @@ def _golden_max(f, lo, hi, iters=80):
     return (c, fc) if fc >= fd else (d, fd)
 
 
-def sup_norm(p: RootPolynomial, K: ConvexDomain, flog=None) -> SupNorm:
-    """Max of |p| (or of e^{flog} when flog is given) over the boundary:
-    dense mesh, then golden-section polish around every local peak in
-    the top tier."""
-    if flog is None:
-        flog = lambda z: log_abs(p, z)
+def _sup_mesh(p: RootPolynomial, K: ConvexDomain) -> np.ndarray:
+    """Arclength positions of the dense boundary mesh for degree p.n."""
     per_edge = max(512, 8 * max(p.n, 1))
     if K.kind == "polygon":
         count = per_edge * len(K.vertices)
     else:
         count = max(4096, 8 * max(p.n, 1))
-    ss = np.linspace(0.0, K.perimeter, count, endpoint=False)
-    vals = flog(K.gamma(ss))
+    return np.linspace(0.0, K.perimeter, count, endpoint=False)
+
+
+def _sup_polish(K: ConvexDomain, ss: np.ndarray, vals: np.ndarray,
+                flog) -> SupNorm:
+    """Golden-section polish of flog around every local peak of the mesh
+    values vals = flog(K.gamma(ss)) in the top tier."""
+    count = ss.size
     best_val = float(np.max(vals))
     # local maxima on the cyclic mesh, keeping only near-top candidates
     left = np.roll(vals, 1)
@@ -374,6 +395,26 @@ def sup_norm(p: RootPolynomial, K: ConvexDomain, flog=None) -> SupNorm:
             best = (v_ref, s_ref % K.perimeter)
     log_value, s_at = best
     return SupNorm(log_value, s_at, complex(K.gamma(s_at)))
+
+
+def sup_norm(p: RootPolynomial, K: ConvexDomain, flog=None) -> SupNorm:
+    """Max of |p| (or of e^{flog} when flog is given) over the boundary:
+    dense mesh, then golden-section polish around every local peak in
+    the top tier."""
+    if flog is None:
+        flog = lambda z: log_abs(p, z)
+    ss = _sup_mesh(p, K)
+    return _sup_polish(K, ss, flog(K.gamma(ss)), flog)
+
+
+def sup_norms(p: RootPolynomial, K: ConvexDomain) -> tuple:
+    """(sup |p|, sup |p'|) over the boundary from one mesh pass of the
+    kernel, each then polished on its own; equal to sup_norm(p, K) and
+    sup_norm(p, K, flog=logabs_derivative) bit for bit."""
+    ss = _sup_mesh(p, K)
+    vals_p, vals_dp = logabs_derivative(p, K.gamma(ss), with_log_abs=True)
+    return (_sup_polish(K, ss, vals_p, lambda z: log_abs(p, z)),
+            _sup_polish(K, ss, vals_dp, lambda z: logabs_derivative(p, z)))
 
 
 # ------------------------------------------------------------- Lq norms
@@ -398,7 +439,7 @@ def lq_norm(p: RootPolynomial, K: ConvexDomain, q: float,
     """(integral over the boundary of |p|^q ds)^(1/q); q = inf routes to
     the sup norm.  Set derivative=True for |p'|.  A grid, when given,
     seeds the adaptive panels."""
-    if q != math.inf and q < 1:
+    if not q >= 1:
         raise ValueError("q must be at least 1 (or inf)")
     flog = (lambda z: logabs_derivative(p, z)) if derivative \
         else (lambda z: log_abs(p, z))
@@ -451,6 +492,9 @@ def inverse_markov_factor(p: RootPolynomial, K: ConvexDomain, q: float,
     if p.lead == 0:
         raise ZeroNorm("polynomial is identically zero")
     mp = p.monic()
+    if q == math.inf:
+        sup_p, sup_dp = sup_norms(mp, K)
+        return MarkovFactor(q, sup_p.log_value, sup_dp.log_value)
     log_p = lq_norm(mp, K, q, rel_tol).log_value
     if mp.n == 0:
         return MarkovFactor(q, log_p, -math.inf)

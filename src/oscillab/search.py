@@ -50,7 +50,7 @@ class SearchConfig:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("degree must be at least 1")
-        if self.q != math.inf and self.q < 1:
+        if not self.q >= 1:
             raise ValueError("q must be at least 1 (or inf)")
         if not self.budget >= self.restarts >= 1:
             raise ValueError("need budget >= restarts >= 1")

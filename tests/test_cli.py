@@ -64,6 +64,17 @@ def test_geometry_invalid_domain_names_vertex(domains, capsys):
     assert "vertex" in err
 
 
+@pytest.mark.parametrize("doc", [
+    {"kind": "polygon", "vertices": [[0, 0], [1, 0], [math.nan, 1]]},
+    {"kind": "disk", "center": [0, 0], "radius": math.inf},
+], ids=["nan-vertex", "inf-radius"])
+def test_geometry_non_finite_domain_exits_two(doc, tmp_path, capsys):
+    path = tmp_path / "nonfinite.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["geometry", "--domain", str(path)]) == 2
+    assert "finite" in capsys.readouterr().err
+
+
 def test_audit_batch_runs_clean(domains, tmp_path, capsys):
     out = tmp_path / "aud"
     code = cli.main(["audit", "tilted", "--domain", domains["disk"],
@@ -118,6 +129,13 @@ def test_search_disk(domains, tmp_path, capsys):
     assert trace[0].startswith("# manifest: ")
     assert trace[1] == "evaluation,incumbent_M"
     assert len(trace) >= 3
+
+
+def test_search_nan_q_rejected(domains):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["search", "--domain", domains["disk"], "--n", "5",
+                  "--q", "nan"])
+    assert exc.value.code == 2
 
 
 def test_search_budget_too_small(domains, capsys):

@@ -300,3 +300,5 @@ def test_case_split_rejects_sup_norm():
     p = RootPolynomial(1.0, (0.0,))
     with pytest.raises(ValueError):
         case_split(p, DISK, math.inf, cov)
+    with pytest.raises(ValueError):
+        case_split(p, DISK, math.nan, cov)

@@ -159,6 +159,15 @@ def test_polygon_validation_errors():
         ConvexDomain.polygon([0j, 1 + 0j])
 
 
+def test_domain_json_rejects_non_finite():
+    with pytest.raises(ValueError, match="finite"):
+        ConvexDomain.from_json('{"kind": "polygon", "vertices": '
+                               '[[0, 0], [1, 0], [NaN, 1]]}')
+    with pytest.raises(ValueError, match="finite"):
+        ConvexDomain.from_json('{"kind": "disk", "center": [0, 0], '
+                               '"radius": Infinity}')
+
+
 def test_domain_json_roundtrip():
     K = ConvexDomain.unit_square()
     K2 = ConvexDomain.from_json(K.to_json())

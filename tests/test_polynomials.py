@@ -20,7 +20,6 @@ from oscillab.polynomials import (
     MarkovFactor,
     QuadratureGrid,
     RootPolynomial,
-    _logabs_dp_logroute,
     evaluate,
     inverse_markov_factor,
     log_abs,
@@ -28,6 +27,7 @@ from oscillab.polynomials import (
     logabs_derivative,
     lq_norm,
     sup_norm,
+    sup_norms,
 )
 from oscillab.sampling import random_convex_polygon, random_roots_in, trial_rng
 from oscillab.search import reference_families
@@ -175,7 +175,7 @@ def test_derivative_routes_agree():
     c = np.mean(roots)
     dcoeffs = np.polyder(np.poly(np.asarray(roots) - c))
     a = np.log(np.abs(np.polyval(dcoeffs, zs - c)))
-    b = _logabs_dp_logroute(p, zs)
+    b = logabs_derivative(p, zs)
     np.testing.assert_allclose(a, b, rtol=1e-8, atol=1e-8)
 
 
@@ -203,17 +203,23 @@ def test_derivative_exactly_on_root():
     assert got == pytest.approx(want, rel=1e-9)
 
 
-def _mp_logabs_derivative(roots, z):
-    """log |p'(z)| of the monic polynomial, as log |p(z) sum 1/(z - r)| at
-    50 digits; z must not be a root."""
+def _mp_logabs(roots, z):
+    """(log |p(z)|, log |p'(z)|) of the monic polynomial at 50 digits, the
+    second as log |p(z) sum 1/(z - r)|; z must not be a root."""
     with mpmath.workdps(50):
         d = [mpmath.mpc(z) - mpmath.mpc(r) for r in roots]
-        dp = mpmath.fprod(d) * mpmath.fsum(1 / x for x in d)
-        return float(mpmath.log(abs(dp)))
+        pz = mpmath.fprod(d)
+        dp = pz * mpmath.fsum(1 / x for x in d)
+        return float(mpmath.log(abs(pz))), float(mpmath.log(abs(dp)))
 
 
 def _oracle_case(name):
     rng = trial_rng(20260818, 31)
+    if name == "octagon-n1024":
+        octagon = ConvexDomain.regular_polygon(8)
+        roots = tuple(random_roots_in(octagon, 1024, rng))
+        return roots, octagon.gamma(rng.uniform(0, octagon.perimeter,
+                                                size=40))
     square = ConvexDomain.unit_square()
     boundary = square.gamma(rng.uniform(0, square.perimeter, size=40))
     if name == "equispaced-square-n64":
@@ -232,12 +238,48 @@ def _oracle_case(name):
 
 
 @pytest.mark.parametrize("name", ["equispaced-square-n64", "clustered-cloud",
-                                  "multiplicity-31"])
+                                  "multiplicity-31", "octagon-n1024"])
 def test_logabs_derivative_against_mpmath(name):
     roots, zs = _oracle_case(name)
-    got = logabs_derivative(RootPolynomial(1.0, roots), zs)
-    want = np.array([_mp_logabs_derivative(roots, z) for z in zs])
-    np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
+    p = RootPolynomial(1.0, roots)
+    want = np.array([_mp_logabs(roots, z) for z in zs])
+    np.testing.assert_allclose(log_abs(p, zs), want[:, 0], rtol=0,
+                               atol=1e-10)
+    np.testing.assert_allclose(logabs_derivative(p, zs), want[:, 1], rtol=0,
+                               atol=1e-10)
+
+
+def test_kernel_value_independent_of_batch():
+    # n = 1000 puts 65 points in a kernel chunk; 4097 points straddle 64
+    # chunk boundaries and leave a short last chunk
+    rng = trial_rng(20260818, 32)
+    K = ConvexDomain.regular_polygon(8)
+    p = RootPolynomial(1.0, random_roots_in(K, 1000, rng))
+    zs = K.gamma(rng.uniform(0, K.perimeter, size=4097))
+    la, ld = logabs_derivative(p, zs, with_log_abs=True)
+    assert np.array_equal(la, log_abs(p, zs))
+    assert np.array_equal(ld, logabs_derivative(p, zs))
+    for i in (0, 64, 65, 129, 130, 2047, 4095, 4096):
+        assert log_abs(p, zs[i]) == la[i]
+        assert logabs_derivative(p, zs[i]) == ld[i]
+        assert logabs_derivative(p, zs[i:i + 1])[0] == ld[i]
+
+
+@pytest.mark.parametrize("K", [ConvexDomain.regular_polygon(8),
+                               ConvexDomain.unit_square(),
+                               ConvexDomain.unit_disk()],
+                         ids=["octagon", "square", "disk"])
+def test_fused_sup_norms_match_separate(K):
+    rng = trial_rng(20260818, 33)
+    p = RootPolynomial(1.0, random_roots_in(K, 300, rng))
+    sup_p, sup_dp = sup_norms(p, K)
+    alone_p = sup_norm(p, K)
+    alone_dp = sup_norm(p, K, flog=lambda z: logabs_derivative(p, z))
+    assert sup_p.log_value == pytest.approx(alone_p.log_value, rel=1e-12)
+    assert sup_dp.log_value == pytest.approx(alone_dp.log_value, rel=1e-12)
+    want = alone_dp.value / alone_p.value
+    assert inverse_markov_factor(p, K, math.inf).M == pytest.approx(
+        want, rel=1e-12)
 
 
 @pytest.mark.parametrize("n", [8, 65])
@@ -250,6 +292,12 @@ def test_repeated_root_without_warnings(n):
         M = inverse_markov_factor(p, K, math.inf).M
     # |p'| / |p| = n / |z|, both maximal at the far corner |z| = sqrt 2
     assert M == pytest.approx(n / math.sqrt(2), rel=1e-9)
+
+
+@pytest.mark.parametrize("q", [0.5, math.nan, -math.inf])
+def test_lq_norm_rejects_bad_q(q):
+    with pytest.raises(ValueError):
+        lq_norm(RootPolynomial(1.0, [0.0]), ConvexDomain.unit_disk(), q)
 
 
 def test_scale_invariance_of_markov_factor():
@@ -358,3 +406,59 @@ def test_norm_dominated_by_sup(seed):
     bound = sup.log_value + math.log(K.perimeter) / q
     assert nq.log_value <= bound + 1e-7
     assert nq.log_value > -math.inf
+
+
+# ------------------------------------------------------------- invariance
+
+_QS = st.sampled_from([1.0, 2.0, math.inf])
+
+
+def _moved(K, f):
+    """K mapped by the similarity f (orientation preserving)."""
+    if K.kind == "polygon":
+        return ConvexDomain.polygon([f(v) for v in K.vertices])
+    return ConvexDomain.disk(f(K.center), abs(f(K.center + K.radius)
+                                              - f(K.center)))
+
+
+def _random_case(seed):
+    rng = np.random.default_rng(seed)
+    K = (ConvexDomain.disk(complex(*rng.normal(size=2)),
+                           float(rng.uniform(0.5, 2.0)))
+         if rng.uniform() < 0.25
+         else random_convex_polygon(rng, vertices=int(rng.integers(3, 8))))
+    return K, random_roots_in(K, int(rng.integers(1, 13)), rng)
+
+
+@given(st.integers(0, 2 ** 32 - 1), _QS,
+       st.complex_numbers(max_magnitude=100.0),
+       st.floats(0.0, 2 * math.pi))
+@settings(max_examples=15, deadline=None)
+def test_markov_factor_invariant_under_rigid_motion(seed, q, t, theta):
+    K, roots = _random_case(seed)
+    rot = complex(math.cos(theta), math.sin(theta))
+    f = lambda z: rot * z + t
+    a = inverse_markov_factor(RootPolynomial(1.0, roots), K, q)
+    b = inverse_markov_factor(RootPolynomial(1.0, [f(r) for r in roots]),
+                              _moved(K, f), q)
+    assert b.M == pytest.approx(a.M, rel=1e-8)
+
+
+@given(st.integers(0, 2 ** 32 - 1), _QS, st.floats(-3.0, 3.0))
+@settings(max_examples=15, deadline=None)
+def test_markov_factor_scales_inversely(seed, q, log10_a):
+    K, roots = _random_case(seed)
+    a = 10.0 ** log10_a
+    f = lambda z: a * z
+    m = inverse_markov_factor(RootPolynomial(1.0, roots), K, q)
+    m_a = inverse_markov_factor(RootPolynomial(1.0, [f(r) for r in roots]),
+                                _moved(K, f), q)
+    assert m_a.M == pytest.approx(m.M / a, rel=1e-8)
+
+
+@given(st.integers(1, 200), _QS)
+@settings(max_examples=15, deadline=None)
+def test_power_on_unit_disk_gives_degree(n, q):
+    rep = inverse_markov_factor(RootPolynomial(1.0, [0.0] * n),
+                                ConvexDomain.unit_disk(), q)
+    assert rep.M == pytest.approx(n, rel=1e-8)
