@@ -10,6 +10,7 @@ factor.
 """
 
 from .errors import (
+    CoveringInvalid,
     DegenerateTangent,
     FamilyTooLarge,
     NoCutPoint,
@@ -26,7 +27,6 @@ from .geometry import (
     ConvexDomain,
     angle_diam_arc_bounds,
     chord,
-    tangent_interval,
     tilted_side_classification,
     transfinite_diameter_estimate,
     triangle_containment_check,

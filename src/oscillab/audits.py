@@ -20,7 +20,9 @@ from .geometry import BoundaryPoint, ConvexDomain, chord, margin_tol
 from .polynomials import (
     RootPolynomial,
     _adaptive_log_integral,
+    _boundary_pieces,
     _golden_max,
+    _log_sum,
     log_abs,
     log_derivative,
     lq_norm,
@@ -115,10 +117,12 @@ class HSet:
                                    "intervals": len(self.intervals)})
 
 
-def h_set(p: RootPolynomial, K: ConvexDomain, q: float, n: int = None,
-          mesh: int = 4096, multiplier: float = 1.0) -> HSet:
-    """Resolve the set {|p| > c n^(-2/q) |p|_inf} on the boundary.  Mesh
-    crossings are bisected to 1e-12 of the perimeter."""
+def _h_intervals(p: RootPolynomial, K: ConvexDomain, q: float,
+                 n: int = None, mesh: int = 4096,
+                 multiplier: float = 1.0) -> tuple:
+    """(arclength intervals of {|p| > multiplier c n^(-2/q) |p|_inf}, log
+    threshold).  Mesh crossings are bisected to 1e-12 of the perimeter;
+    intervals lie in [0, L], an arc through s = 0 split in two."""
     log_sup = sup_norm(p, K).log_value
     log_thr = log_h_threshold(p, K, q, n=n, log_sup=log_sup) \
         + math.log(multiplier)
@@ -161,15 +165,31 @@ def h_set(p: RootPolynomial, K: ConvexDomain, q: float, n: int = None,
             else:
                 intervals.append((sa, sb))
         intervals.sort()
+    return tuple(intervals), log_thr
 
-    flog = lambda z: log_abs(p, z)
-    log_total, _ = _adaptive_log_integral(K, flog, q, 1e-8)
-    if intervals:
-        log_on_h, _ = _adaptive_log_integral(K, flog, q, 1e-8,
-                                             seeds=list(intervals))
-    else:
-        log_on_h = -math.inf
-    return HSet(tuple(intervals), log_thr, log_on_h, log_total, q)
+
+def _in_intervals(s: np.ndarray, intervals) -> np.ndarray:
+    """Mask of the arclengths s that lie in one of the closed intervals."""
+    inside = np.zeros(s.shape, dtype=bool)
+    for a, b in intervals:
+        inside |= (a <= s) & (s <= b)
+    return inside
+
+
+def h_set(p: RootPolynomial, K: ConvexDomain, q: float, n: int = None,
+          mesh: int = 4096, multiplier: float = 1.0) -> HSet:
+    """Resolve the set {|p| > c n^(-2/q) |p|_inf} on the boundary and both
+    masses, from one integration of |p|^q over boundary pieces cut at the
+    set's endpoints."""
+    intervals, log_thr = _h_intervals(p, K, q, n, mesh, multiplier)
+    pieces = _boundary_pieces(K, [s for iv in intervals for s in iv])
+    masses, _ = _adaptive_log_integral(K, lambda z: log_abs(p, z), q, 1e-8,
+                                       pieces)
+    on_h = _in_intervals(np.array([0.5 * (a + b) for a, b in pieces]),
+                         intervals)
+    log_on_h = _log_sum(masses[on_h])
+    log_total = float(np.logaddexp(log_on_h, _log_sum(masses[~on_h])))
+    return HSet(intervals, log_thr, log_on_h, log_total, q)
 
 
 def point_in_h(p: RootPolynomial, K: ConvexDomain, q: float, z: complex,
@@ -766,8 +786,12 @@ def depth_theorem_audit(p: RootPolynomial, K: ConvexDomain, q: float
                            detail=detail)
     coeff = h ** 4 / (3000.0 * K.diameter ** 5) * n
     detail["coeff"] = coeff
-    log_dp = lq_norm(p, K, q, derivative=True).log_value
-    log_p = lq_norm(p, K, q).log_value
+    if q == math.inf:
+        sup_p, sup_dp = sup_norms(p, K)
+        log_p, log_dp = sup_p.log_value, sup_dp.log_value
+    else:
+        log_dp = lq_norm(p, K, q, derivative=True).log_value
+        log_p = lq_norm(p, K, q).log_value
     return AuditReport("depth", log_dp, math.log(coeff) + log_p,
                        detail=detail)
 

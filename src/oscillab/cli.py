@@ -20,7 +20,7 @@ from pathlib import Path
 from . import __version__
 from .audits import AUDIT_IDS, run_batch
 from .covering import build_covering, max_feasible_r, r_schedule
-from .errors import FamilyTooLarge, NoCutPoint
+from .errors import CoveringInvalid, FamilyTooLarge, NoCutPoint
 from .geometry import ConvexDomain, transfinite_diameter_estimate
 from .search import (
     SearchConfig,
@@ -47,9 +47,23 @@ def _parse_q(text: str) -> float:
     return q
 
 
-def _load_domain(path: str) -> ConvexDomain:
-    with open(path, "r", encoding="utf-8") as fh:
-        return ConvexDomain.from_json(fh.read())
+def _parse_finite(text: str) -> float:
+    x = float(text)
+    if not math.isfinite(x):
+        raise argparse.ArgumentTypeError("must be a finite number")
+    return x
+
+
+class _InputError(Exception):
+    """Bad input found inside a command; main prints it and exits 2."""
+
+
+def _load_domain(path: str, label: str = "invalid domain") -> ConvexDomain:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return ConvexDomain.from_json(fh.read())
+    except (OSError, ValueError, KeyError) as exc:
+        raise _InputError(f"{label}: {exc}") from exc
 
 
 def _manifest(command: str, domain_file: str, params: dict,
@@ -94,11 +108,7 @@ def _out_dir(args) -> Path:
 # ------------------------------------------------------------- commands
 
 def cmd_geometry(args) -> int:
-    try:
-        K = _load_domain(args.domain)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-        print(f"invalid domain: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    K = _load_domain(args.domain)
     est = transfinite_diameter_estimate(K, m=10)
     report = {
         "kind": K.kind,
@@ -135,11 +145,7 @@ def cmd_geometry(args) -> int:
 
 
 def cmd_audit(args) -> int:
-    try:
-        K = _load_domain(args.domain) if args.domain else None
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-        print(f"invalid domain: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    K = _load_domain(args.domain) if args.domain else None
     params = {"q": args.q}
     if args.n is not None:
         params["n"] = args.n
@@ -180,13 +186,13 @@ def cmd_audit(args) -> int:
 
 
 def cmd_search(args) -> int:
+    K = _load_domain(args.domain, "invalid search input")
     try:
-        K = _load_domain(args.domain)
         config = SearchConfig(n=args.n, q=args.q, budget=args.budget,
                               seed=args.seed, restarts=args.restarts,
                               init=args.init)
         result = minimize_oscillation(K, config)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except ValueError as exc:
         print(f"invalid search input: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
@@ -222,11 +228,7 @@ def cmd_search(args) -> int:
 
 
 def cmd_covering(args) -> int:
-    try:
-        K = _load_domain(args.domain)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-        print(f"invalid domain: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    K = _load_domain(args.domain)
     if (args.r is None) == (args.n is None):
         print("covering needs exactly one of --r or --n", file=sys.stderr)
         return EXIT_INPUT
@@ -242,7 +244,7 @@ def cmd_covering(args) -> int:
 
     try:
         cov = build_covering(K, r, theta=args.theta)
-    except (ValueError, NoCutPoint, FamilyTooLarge) as exc:
+    except (ValueError, NoCutPoint, FamilyTooLarge, CoveringInvalid) as exc:
         suggestion = max_feasible_r(K, theta=args.theta)
         print(f"covering failed: {exc}", file=sys.stderr)
         print(f"suggested maximal r: {suggestion:.12g}", file=sys.stderr)
@@ -290,12 +292,8 @@ def cmd_table(args) -> int:
                   file=sys.stderr)
             return EXIT_INPUT
         record = json.loads(result_path.read_text(encoding="utf-8"))
-        try:
-            K = _load_domain(doc["domain_file"])
-        except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-            print(f"invalid domain in manifest {man_path}: {exc}",
-                  file=sys.stderr)
-            return EXIT_INPUT
+        K = _load_domain(doc.get("domain_file", ""),
+                         f"invalid domain in manifest {man_path}")
         n = doc["params"]["n"]
         q = doc["params"]["q"]
         d, w = K.diameter, K.width
@@ -372,9 +370,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("covering", help="build the boundary covering")
     c.add_argument("--domain", required=True)
-    c.add_argument("--r", type=float, default=None)
-    c.add_argument("--n", type=float, default=None)
-    c.add_argument("--theta", type=float, default=None)
+    c.add_argument("--r", type=_parse_finite, default=None)
+    c.add_argument("--n", type=_parse_finite, default=None)
+    c.add_argument("--theta", type=_parse_finite, default=None)
     c.add_argument("--out", default=None)
     c.set_defaults(func=cmd_covering)
 
@@ -389,7 +387,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _InputError as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -16,19 +16,20 @@ perimeter to express wrap-around; lengths are always positive.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .audits import AuditReport, h_set
-from .errors import FamilyTooLarge, NoCutPoint
+from .audits import AuditReport, _h_intervals, _in_intervals
+from .errors import CoveringInvalid, FamilyTooLarge, NoCutPoint
 from .geometry import BoundaryPoint, ConvexDomain, chord
 from .polynomials import (
     RootPolynomial,
     _adaptive_log_integral,
+    _boundary_pieces,
     _golden_max,
+    _log_sum,
     log_abs,
-    logabs_derivative,
     lq_norm,
 )
 
@@ -253,6 +254,13 @@ def maximal_disjoint_family(arcs, perimeter: float = None) -> tuple:
 
 # ------------------------------------------------------------- covering
 
+def _arc_pieces(arc: BoundaryArc, L: float) -> tuple:
+    """The arc as plain (lo, hi) pieces inside [0, L]."""
+    lo = arc.start_s % L
+    hi = lo + arc.length
+    return ((lo, hi),) if hi <= L else ((lo, L), (0.0, hi - L))
+
+
 @dataclass(frozen=True)
 class CoveringComponent:
     """One maximal covered arc: a central elementary arc with padding
@@ -302,17 +310,8 @@ class Covering:
 
     def intervals(self) -> tuple:
         """Component supports as plain (lo, hi) pieces inside [0, L]."""
-        pieces = []
-        L = self.perimeter
-        for c in self.components:
-            lo = c.arc.start_s % L
-            hi = lo + c.arc.length
-            if hi <= L:
-                pieces.append((lo, hi))
-            else:
-                pieces.append((lo, L))
-                pieces.append((0.0, hi - L))
-        return tuple(sorted(pieces))
+        return tuple(sorted(piece for c in self.components
+                            for piece in _arc_pieces(c.arc, self.perimeter)))
 
     def as_record(self) -> dict:
         return {
@@ -349,10 +348,10 @@ def _merge_padded(fam, pad, L):
         last = merged[-1]
         last[1] = max(last[1], first[1] + L)
         last[2].extend(first[2])
-    for _, _, centrals in merged:
-        assert len(centrals) <= 2, \
-            "three padded arcs merged into one run; disjointness and the " \
-            "length bound forbid such a chain"
+    if any(len(centrals) > 2 for _, _, centrals in merged):
+        raise CoveringInvalid(
+            "three padded arcs merged into one run; disjointness and the "
+            "length bound forbid such a chain")
     return merged
 
 
@@ -364,7 +363,7 @@ def _shift_into(arc, lo, hi, L):
         if s >= lo - 1e-9 * L and s + arc.length <= hi + 1e-9 * L:
             return BoundaryArc(s, s + arc.length, arc.kind,
                                arc.var_alpha, arc.length_ok, arc.var_ok)
-    raise AssertionError("central arc does not fit its merged run")
+    raise CoveringInvalid("central arc does not fit its merged run")
 
 
 def build_covering(K: ConvexDomain, r: float, theta: float = None,
@@ -372,7 +371,8 @@ def build_covering(K: ConvexDomain, r: float, theta: float = None,
     """Construct and verify the padded covering for chord threshold r.
 
     Requires 108*r*d/w < d.  Every verification mesh point must be good or
-    inside a component; a failure is a construction bug and asserts.
+    inside a component; a failure is a construction bug and raises
+    CoveringInvalid.
     """
     theta = covering_tilt_angle(K) if theta is None else theta
     d, w, L = K.diameter, K.width, K.perimeter
@@ -425,9 +425,10 @@ def build_covering(K: ConvexDomain, r: float, theta: float = None,
     exceptions = [s for s in sorted(ver)
                   if not good_point_test(K, K.boundary_point(s), r, theta)
                   and not cov.contains_s(s)]
-    assert not exceptions, \
-        f"{len(exceptions)} boundary points neither good nor covered " \
-        f"(first at s={exceptions[0]:.9g})"
+    if exceptions:
+        raise CoveringInvalid(
+            f"{len(exceptions)} boundary points neither good nor covered "
+            f"(first at s={exceptions[0]:.9g})")
     return Covering(tuple(components), float(r), float(theta), cut, L,
                     checked_points=len(ver))
 
@@ -444,7 +445,7 @@ def max_feasible_r(K: ConvexDomain, theta: float = None,
         mid = 0.5 * (lo + hi)
         try:
             build_covering(K, mid, theta, mesh=512, verify_mesh=256)
-        except (ValueError, NoCutPoint, FamilyTooLarge, AssertionError):
+        except (ValueError, NoCutPoint, FamilyTooLarge, CoveringInvalid):
             hi = mid
         else:
             lo = mid
@@ -500,16 +501,6 @@ class CaseSplit:
     detail: dict
 
 
-def _intersect_pieces(a_pieces, b_pieces):
-    out = []
-    for a1, a2 in a_pieces:
-        for b1, b2 in b_pieces:
-            lo, hi = max(a1, b1), min(a2, b2)
-            if hi > lo:
-                out.append((lo, hi))
-    return tuple(sorted(out))
-
-
 def _arc_extrema(p, K, comp_arc, grid=4096):
     """(min, max) of log|p| over a component arc via a dense grid plus a
     golden-section polish around each candidate."""
@@ -546,18 +537,23 @@ def case_split(p: RootPolynomial, K: ConvexDomain, q: float,
     d, w, L = K.diameter, K.width, K.perimeter
     r = covering.r
 
+    # one integration of |p|^q over pieces cut at the endpoints of H and of
+    # every component; each mass below sums a subset of the pieces, nested
+    # so that mass(H and covered) <= mass(H) <= total holds exactly
     mp = p.monic()
-    flog = lambda z: log_abs(mp, z)
-    hs = h_set(mp, K, q, n=n)
+    h_intervals, _ = _h_intervals(mp, K, q, n=n)
     cov_pieces = covering.intervals()
-    hl_pieces = _intersect_pieces(hs.intervals, cov_pieces)
-    if hl_pieces:
-        log_mass_hl, _ = _adaptive_log_integral(K, flog, q, 1e-8,
-                                                seeds=list(hl_pieces))
-    else:
-        log_mass_hl = -math.inf
-    log_mass_h = hs.log_mass_on_h
-    log_mass_total = hs.log_mass_total
+    cuts = [s for iv in h_intervals + cov_pieces for s in iv]
+    pieces = _boundary_pieces(K, cuts)
+    masses, _ = _adaptive_log_integral(K, lambda z: log_abs(mp, z), q, 1e-8,
+                                       pieces)
+    mids = np.array([0.5 * (a + b) for a, b in pieces])
+    in_h = _in_intervals(mids, h_intervals)
+    in_cov = _in_intervals(mids, cov_pieces)
+    log_mass_hl = _log_sum(masses[in_h & in_cov])
+    log_mass_h = float(np.logaddexp(log_mass_hl,
+                                    _log_sum(masses[in_h & ~in_cov])))
+    log_mass_total = float(np.logaddexp(log_mass_h, _log_sum(masses[~in_h])))
     log_p_norm = log_mass_total / q
     log_dp_norm = lq_norm(mp, K, q, derivative=True).log_value
 
@@ -587,23 +583,14 @@ def case_split(p: RootPolynomial, K: ConvexDomain, q: float,
         return CaseSplit("I", None, None, None, tuple(reports), detail)
 
     # Case II: the covering holds most of the heavy mass
-    best = None
-    best_log = -math.inf
-    comp_masses = []
-    for compo in covering.components:
-        pieces = []
-        lo = compo.arc.start_s % L
-        hi = lo + compo.arc.length
-        if hi <= L:
-            pieces.append((lo, hi))
-        else:
-            pieces.extend([(lo, L), (0.0, hi - L)])
-        log_m, _ = _adaptive_log_integral(K, flog, q, 1e-8, seeds=pieces)
-        comp_masses.append(log_m)
-        if log_m > best_log:
-            best, best_log = compo, log_m
+    comp_masses = [
+        _log_sum(masses[_in_intervals(mids, _arc_pieces(c.arc, L))])
+        for c in covering.components]
+    best_log = max(comp_masses, default=-math.inf)
+    if best_log == -math.inf:
+        raise CoveringInvalid("case II with no component carrying mass")
+    best = covering.components[comp_masses.index(best_log)]
     detail["component_log_masses"] = comp_masses
-    assert best is not None, "case II with an empty covering"
 
     # the heaviest component carries at least 1/16 of the whole integral
     reports.append(AuditReport(

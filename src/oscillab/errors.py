@@ -46,3 +46,10 @@ class FamilyTooLarge(OscillabError):
 
 class NoCutPoint(OscillabError):
     """The padded arc union covers the whole boundary, no cut point exists."""
+
+
+class CoveringInvalid(OscillabError):
+    """A covering construction invariant failed: a boundary point is
+    neither good nor covered, a merged run swallowed three padded arcs,
+    a central arc does not fit its run, or a case split found no
+    component carrying mass."""

@@ -530,11 +530,6 @@ def chord(K: ConvexDomain, zeta, phi: float) -> Chord:
     return Chord(z0, phi, float(delta), D, float(t_lo), float(t_hi), hits)
 
 
-def tangent_interval(K: ConvexDomain, s: float) -> BoundaryPoint:
-    """Boundary point at s together with its tangent angle interval."""
-    return K.boundary_point(s)
-
-
 # ----------------------------------------------------------------------
 # quantitative convexity facts
 

@@ -229,100 +229,91 @@ def logabs_derivative(p: RootPolynomial, z, with_log_abs: bool = False):
 
 # ------------------------------------------------------------- quadrature
 
-@dataclass(frozen=True)
-class QuadratureGrid:
-    """Arclength nodes and weights of a composite 16-node Gauss-Legendre
-    rule along the boundary; weights sum to the perimeter."""
-
-    s: np.ndarray
-    w: np.ndarray
-    panels: tuple
-
-    @classmethod
-    def build(cls, K: ConvexDomain, panels_per_edge: int = 8
-              ) -> "QuadratureGrid":
-        bounds = []
-        if K.kind == "polygon":
-            cum = [K.vertex_s(i) for i in range(len(K.vertices))]
-            cum.append(K.perimeter)
-            for a, b in zip(cum[:-1], cum[1:]):
-                for k in range(panels_per_edge):
-                    bounds.append((a + (b - a) * k / panels_per_edge,
-                                   a + (b - a) * (k + 1) / panels_per_edge))
-        else:
-            m = 8 * panels_per_edge
-            for k in range(m):
-                bounds.append((K.perimeter * k / m,
-                               K.perimeter * (k + 1) / m))
-        ss, ws = [], []
-        for a, b in bounds:
-            half = 0.5 * (b - a)
-            ss.append(0.5 * (a + b) + half * _XG)
-            ws.append(half * _WG)
-        return cls(np.concatenate(ss), np.concatenate(ws), tuple(bounds))
-
-    @property
-    def total_weight(self) -> float:
-        return float(self.w.sum())
+# split-and-compare stops halving a panel at this depth and accepts it as
+# it stands, with no tolerance check
+_MAX_DEPTH = 26
 
 
-def _panel_log_integral(K, flog, q, a, b):
-    """log of the integral of e^{q * flog} over the boundary piece [a, b]."""
-    half = 0.5 * (b - a)
-    s = 0.5 * (a + b) + half * _XG
-    li = q * flog(K.gamma(s))
-    m = float(np.max(li))
-    if m == -math.inf:
+def _boundary_pieces(K: ConvexDomain, cuts=()) -> list:
+    """Arclength pieces (a, b) that tile the boundary once: four per
+    polygon edge, so no piece spans a vertex, or sixteen disk arcs; each
+    is split again at every cut strictly inside it."""
+    L = K.perimeter
+    if K.kind == "polygon":
+        ends = [K.vertex_s(i) for i in range(len(K.vertices))] + [L]
+        seeds = [(a + (b - a) * k / 4, a + (b - a) * (k + 1) / 4)
+                 for a, b in zip(ends[:-1], ends[1:]) for k in range(4)]
+    else:
+        seeds = [(L * k / 16, L * (k + 1) / 16) for k in range(16)]
+    cuts = sorted(set(cuts))
+    pieces = []
+    for a, b in seeds:
+        pts = [a] + [c for c in cuts if a < c < b] + [b]
+        pieces.extend(zip(pts[:-1], pts[1:]))
+    return pieces
+
+
+def _log_sum(values) -> float:
+    """log sum exp(values); -inf for no values."""
+    values = np.asarray(values, dtype=float)
+    top = values.max(initial=-math.inf)
+    if top == -math.inf:
         return -math.inf
-    return m + math.log(float(np.sum(_WG * half * np.exp(li - m))))
+    return float(top + np.log(np.sum(np.exp(values - top))))
 
 
-def _logaddexp(a: float, b: float) -> float:
-    if a == -math.inf:
-        return b
-    if b == -math.inf:
-        return a
-    hi, lo = (a, b) if a >= b else (b, a)
-    return hi + math.log1p(math.exp(lo - hi))
+def _panel_log_integrals(K, flog, q, a, b):
+    """log of the integral of e^{q flog} over each panel [a_i, b_i] by the
+    16-node Gauss-Legendre rule, from one boundary call and one flog
+    call."""
+    half = 0.5 * (b - a)
+    s = (0.5 * (a + b))[:, None] + half[:, None] * _XG
+    li = q * flog(K.gamma(s.ravel())).reshape(s.shape)
+    m = li.max(axis=1)
+    shift = np.where(m > -math.inf, m, 0.0)
+    with np.errstate(divide="ignore"):
+        return m + np.log(np.sum(_WG * half[:, None]
+                                 * np.exp(li - shift[:, None]), axis=1))
 
 
-def _adaptive_log_integral(K, flog, q, rel_tol, max_depth=26, seeds=None):
-    """Adaptive split-and-compare composite rule; each panel is accepted
-    when one extra halving moves its value by under rel_tol."""
-    if seeds is None and K.kind == "polygon":
-        seeds = []
-        cum = [K.vertex_s(i) for i in range(len(K.vertices))]
-        cum.append(K.perimeter)
-        for a, b in zip(cum[:-1], cum[1:]):
-            for k in range(4):
-                seeds.append((a + (b - a) * k / 4, a + (b - a) * (k + 1) / 4))
-    elif seeds is None:
-        seeds = [(K.perimeter * k / 16, K.perimeter * (k + 1) / 16)
-                 for k in range(16)]
-    accepted = []
-    stack = [(a, b, _panel_log_integral(K, flog, q, a, b), 0)
-             for a, b in seeds]
-    panels = len(stack)
-    while stack:
-        a, b, coarse, depth = stack.pop()
+def _adaptive_log_integral(K, flog, q, rel_tol, pieces):
+    """(log of the integral of e^{q flog} over each piece, panel count).
+
+    Split-and-compare, level by level: every live panel is halved, both
+    halves of all of them come from one boundary call and one flog call,
+    and a panel is accepted when the halves' sum moves its value by under
+    rel_tol.  At depth _MAX_DEPTH it is accepted without that check."""
+    a = np.array([lo for lo, _ in pieces], dtype=float)
+    b = np.array([hi for _, hi in pieces], dtype=float)
+    owner = np.arange(len(pieces))
+    coarse = _panel_log_integrals(K, flog, q, a, b)
+    panels = len(pieces)
+    kept_owner, kept_value = [], []
+    depth = 0
+    while a.size:
         mid = 0.5 * (a + b)
-        left = _panel_log_integral(K, flog, q, a, mid)
-        right = _panel_log_integral(K, flog, q, mid, b)
-        fine = _logaddexp(left, right)
-        if fine == -math.inf and coarse == -math.inf:
-            continue
-        close = (fine != -math.inf and coarse != -math.inf
-                 and abs(math.expm1(coarse - fine)) <= rel_tol)
-        if close or depth >= max_depth:
-            accepted.append(fine)
-            continue
-        panels += 2
-        stack.append((a, mid, left, depth + 1))
-        stack.append((mid, b, right, depth + 1))
-    total = -math.inf
-    for v in accepted:
-        total = _logaddexp(total, v)
-    return total, panels
+        halves = _panel_log_integrals(K, flog, q, np.concatenate([a, mid]),
+                                      np.concatenate([mid, b]))
+        left, right = halves[:a.size], halves[a.size:]
+        fine = np.logaddexp(left, right)
+        live = (fine > -math.inf) | (coarse > -math.inf)
+        with np.errstate(invalid="ignore"):
+            close = ((fine > -math.inf) & (coarse > -math.inf)
+                     & (np.abs(np.expm1(coarse - fine)) <= rel_tol))
+        accept = live & (close | (depth >= _MAX_DEPTH))
+        kept_owner.append(owner[accept])
+        kept_value.append(fine[accept])
+        split = live & ~accept
+        panels += 2 * int(split.sum())
+        a, mid, b = a[split], mid[split], b[split]
+        a, b = np.concatenate([a, mid]), np.concatenate([mid, b])
+        owner = np.tile(owner[split], 2)
+        coarse = np.concatenate([left[split], right[split]])
+        depth += 1
+    owner = np.concatenate(kept_owner)
+    value = np.concatenate(kept_value)
+    return (np.array([_log_sum(value[owner == i])
+                      for i in range(len(pieces))]), panels)
 
 
 # ------------------------------------------------------------- sup norm
@@ -434,11 +425,9 @@ class LqNorm:
 
 
 def lq_norm(p: RootPolynomial, K: ConvexDomain, q: float,
-            rel_tol: float = 1e-8, derivative: bool = False,
-            grid: QuadratureGrid = None) -> LqNorm:
+            rel_tol: float = 1e-8, derivative: bool = False) -> LqNorm:
     """(integral over the boundary of |p|^q ds)^(1/q); q = inf routes to
-    the sup norm.  Set derivative=True for |p'|.  A grid, when given,
-    seeds the adaptive panels."""
+    the sup norm.  Set derivative=True for |p'|."""
     if not q >= 1:
         raise ValueError("q must be at least 1 (or inf)")
     flog = (lambda z: logabs_derivative(p, z)) if derivative \
@@ -446,10 +435,9 @@ def lq_norm(p: RootPolynomial, K: ConvexDomain, q: float,
     if q == math.inf:
         sup = sup_norm(p, K, flog=flog)
         return LqNorm(math.inf, sup.log_value, 0)
-    seeds = grid.panels if grid is not None else None
-    log_int, panels = _adaptive_log_integral(K, flog, q, rel_tol,
-                                             seeds=seeds)
-    return LqNorm(q, log_int / q, panels)
+    log_masses, panels = _adaptive_log_integral(K, flog, q, rel_tol,
+                                                _boundary_pieces(K))
+    return LqNorm(q, _log_sum(log_masses) / q, panels)
 
 
 @dataclass(frozen=True)

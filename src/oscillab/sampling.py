@@ -113,9 +113,3 @@ def random_roots_loose(K: ConvexDomain, n: int, rng: np.random.Generator,
     re = rng.uniform(c.real - half, c.real + half, size=n)
     im = rng.uniform(c.imag - half, c.imag + half, size=n)
     return re + 1j * im
-
-
-def random_boundary_s(K: ConvexDomain, rng: np.random.Generator,
-                      count: int | None = None):
-    s = rng.uniform(0.0, K.perimeter, size=count)
-    return s if count is not None else float(s)

@@ -205,8 +205,8 @@ def _restart_search(K, config, restart, budget, zs, ws):
     """One pattern-search run; returns (roots, score, evals, trace)."""
     rng = np.random.default_rng([config.seed, restart])
     roots = _init_roots(K, config, rng)
-    if __debug__:
-        assert all(K.contains(z) for z in roots), "infeasible start"
+    if not all(K.contains(z) for z in roots):
+        raise ValueError("infeasible start: a root lies outside K")
     sums = _node_sums(roots, zs)
     cur = _log_M_from_sums(*sums, ws, config.q)
     evals = 1

@@ -7,9 +7,11 @@ route (direct root sums, scalar product arithmetic, mesh oracles).
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
+from oscillab import audits
 from oscillab.audits import (
     AUDIT_IDS,
     chebyshev_floor,
@@ -32,8 +34,13 @@ from oscillab.audits import (
 )
 from oscillab.errors import NotInH, ZeroChord
 from oscillab.geometry import ConvexDomain, margin_tol
-from oscillab.polynomials import RootPolynomial, sup_norm
-from oscillab.sampling import random_domain, random_roots_in, trial_rng
+from oscillab.polynomials import RootPolynomial, lq_norm, sup_norm
+from oscillab.sampling import (
+    random_domain,
+    random_roots_in,
+    random_roots_loose,
+    trial_rng,
+)
 
 SEED = 20260818
 
@@ -122,6 +129,61 @@ def test_h_set_monotone_in_multiplier():
         m1 = h_set(p, K, 2.0, multiplier=1.0).measure
         m2 = h_set(p, K, 2.0, multiplier=2.0).measure
         assert m2 <= m1 + 1e-9 * K.perimeter
+
+
+def _mp_log_mass(p, K, q, intervals):
+    """30-digit log of the integral of |p|^q over arclength intervals of a
+    polygon boundary: one mpmath.quad per straight segment, so no
+    integrand has a corner."""
+    corners = [K.vertex_s(i) for i in range(len(K.vertices))]
+    with mpmath.workdps(30):
+        roots = [mpmath.mpc(r.real, r.imag) for r in p.roots]
+        total = mpmath.mpf(0)
+        for lo, hi in intervals:
+            ends = [lo] + [c for c in corners if lo < c < hi] + [hi]
+            for a, b in zip(ends[:-1], ends[1:]):
+                za, zb = (mpmath.mpc(z.real, z.imag)
+                          for z in (K.gamma(a), K.gamma(b)))
+                f = lambda t: mpmath.fprod(abs(za + t * (zb - za) - r) ** q
+                                           for r in roots)
+                total += mpmath.quad(f, [0, 1]) * abs(zb - za)
+        return float(mpmath.log(total))
+
+
+def test_h_set_mass_over_corners_matches_mpmath():
+    # draw 33 of a 60-trial batch: a 4-gon with n = 20 whose heavy set is
+    # the whole boundary, one arc over three corners
+    rng = np.random.default_rng(11)
+    for _ in range(34):
+        K = random_domain(rng)
+        deg = int(rng.integers(1, 25))
+        p = RootPolynomial(1.0, random_roots_loose(K, deg, rng))
+    assert K.kind == "polygon" and len(K.vertices) == 4 and p.n == 20
+    hs = h_set(p, K, 2.0)
+    assert hs.intervals == ((0.0, K.perimeter),)
+    ref_h = _mp_log_mass(p, K, 2.0, hs.intervals)
+    ref_total = _mp_log_mass(p, K, 2.0, [(0.0, K.perimeter)])
+    assert abs(math.expm1(hs.log_mass_on_h - ref_h)) <= 1e-9
+    assert abs(math.expm1(hs.log_mass_total - ref_total)) <= 1e-9
+
+
+def test_h_set_integrates_once(monkeypatch):
+    calls = []
+    original = audits._adaptive_log_integral
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+    monkeypatch.setattr(audits, "_adaptive_log_integral", counted)
+    K = ConvexDomain.unit_square()
+    # a triple root on the bottom edge leaves an arc around it out of H
+    p = RootPolynomial(1.0, [0.3, 0.3, 0.3, 0.7 + 0.6j])
+    hs = h_set(p, K, 2.0)
+    assert 0 < hs.measure < K.perimeter
+    assert len(calls) == 1
+    assert hs.log_mass_on_h <= hs.log_mass_total
+    total = lq_norm(p, K, 2.0).log_value * 2.0
+    assert hs.log_mass_total == pytest.approx(total, rel=1e-9)
 
 
 # ------------------------------------------------------------------ h gap
@@ -586,6 +648,19 @@ def test_depth_disk_coefficient():
     # h = d = 2: coefficient is 16/(3000 * 32) = 1/6000 per degree
     assert rep.detail["coeff"] == pytest.approx(6.0 / 6000.0, rel=1e-12)
     assert rep.passed
+
+
+def test_depth_inf_matches_two_norm_calls():
+    # at q = inf the audit takes both sup norms from one mesh pass; the
+    # values must be those of the two separate norm calls, bit for bit
+    for K in (ConvexDomain.unit_square(),
+              ConvexDomain.regular_polygon(6, circumradius=1.0)):
+        p = RootPolynomial(1.0, random_roots_in(K, 30, trial_rng(SEED, 7)))
+        rep = depth_theorem_audit(p, K, math.inf)
+        log_dp = lq_norm(p, K, math.inf, derivative=True).log_value
+        log_p = lq_norm(p, K, math.inf).log_value
+        assert rep.lhs == log_dp
+        assert rep.rhs == math.log(rep.detail["coeff"]) + log_p
 
 
 def test_depth_batch():

@@ -7,6 +7,7 @@ import pytest
 
 from oscillab import cli
 from oscillab.audits import AuditReport
+from oscillab.errors import CoveringInvalid
 from oscillab.geometry import ConvexDomain
 
 
@@ -194,6 +195,27 @@ def test_covering_schedule_degree_exits_five(domains, capsys):
     code = cli.main(["covering", "--domain", domains["square"],
                      "--n", "100"])
     assert code == 5
+
+
+@pytest.mark.parametrize("argv", [
+    ["--r", "nan"], ["--n", "nan"], ["--r", "0.008", "--theta", "nan"],
+    ["--r", "inf"], ["--n", "-inf"],
+], ids=["r-nan", "n-nan", "theta-nan", "r-inf", "n-neg-inf"])
+def test_covering_non_finite_option_exits_two(domains, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["covering", "--domain", domains["square"], *argv])
+    assert exc.value.code == 2
+
+
+def test_covering_invalid_exits_five(domains, monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise CoveringInvalid("boundary point neither good nor covered")
+    monkeypatch.setattr(cli, "build_covering", broken)
+    monkeypatch.setattr(cli, "max_feasible_r", lambda K, theta=None: 0.0)
+    code = cli.main(["covering", "--domain", domains["square"],
+                     "--r", "0.008"])
+    assert code == 5
+    assert "neither good nor covered" in capsys.readouterr().err
 
 
 def test_covering_needs_exactly_one_knob(domains):

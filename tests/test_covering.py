@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from oscillab import covering, polynomials
 from oscillab.covering import (
     BoundaryArc,
     build_covering,
@@ -19,7 +20,7 @@ from oscillab.covering import (
     r_schedule,
     wedge_angle,
 )
-from oscillab.errors import FamilyTooLarge
+from oscillab.errors import CoveringInvalid, FamilyTooLarge
 from oscillab.geometry import BoundaryPoint, ConvexDomain, chord
 from oscillab.polynomials import RootPolynomial
 from oscillab.sampling import random_convex_polygon
@@ -178,6 +179,14 @@ def test_build_covering_square_mesh_coverage():
         assert good_point_test(SQUARE, bp, cov.r, theta) or cov.contains_s(s)
 
 
+def test_uncovered_non_good_points_raise_covering_invalid(monkeypatch):
+    # with no elementary arcs the non-good points next to the corners stay
+    # uncovered, which the verification sweep must report as a typed error
+    monkeypatch.setattr(covering, "elementary_arcs", lambda *a, **k: ())
+    with pytest.raises(CoveringInvalid, match="neither good nor covered"):
+        build_covering(SQUARE, 0.008)
+
+
 def test_build_covering_disk_trivial():
     cov = build_covering(DISK, 0.01)
     assert cov.k0 == 0
@@ -302,3 +311,45 @@ def test_case_split_rejects_sup_norm():
         case_split(p, DISK, math.inf, cov)
     with pytest.raises(ValueError):
         case_split(p, DISK, math.nan, cov)
+
+
+def _counting(monkeypatch, module, calls):
+    original = module._adaptive_log_integral
+
+    def counted(K, flog, q, rel_tol, pieces):
+        calls.append(module.__name__)
+        return original(K, flog, q, rel_tol, pieces)
+    monkeypatch.setattr(module, "_adaptive_log_integral", counted)
+
+
+def test_case_split_integrates_each_integrand_once(monkeypatch):
+    calls = []
+    for module in (covering, polynomials):
+        _counting(monkeypatch, module, calls)
+    case_split(_belt_polynomial(), SQUARE, 2.0, build_covering(SQUARE, 0.005))
+    # one pass for |p|^q (pieces cut at H and the components), one for
+    # |p'|^q through lq_norm
+    assert sorted(calls) == ["oscillab.covering", "oscillab.polynomials"]
+
+
+def test_case_split_masses_are_nested():
+    rng = np.random.default_rng(SEED + 5)
+    cov = build_covering(SQUARE, 0.005)
+    cases = [(_belt_polynomial(), 2.0)]
+    for trial in range(4):
+        pts = SQUARE.sample_uniform(int(rng.integers(4, 16)), rng)
+        cases.append((RootPolynomial(1.0, tuple(pts)),
+                      float(rng.choice([1.0, 2.0, 3.5]))))
+    seen = set()
+    for p, q in cases:
+        cs = case_split(p, SQUARE, q, cov)
+        seen.add(cs.case)
+        det = cs.detail
+        assert det["log_mass_h_covered"] <= det["log_mass_h"]
+        assert det["log_mass_h"] <= det["log_mass_total"]
+        if "component_log_masses" in det:
+            # the components are disjoint and hold the covered part of H
+            comps = np.logaddexp.reduce(det["component_log_masses"])
+            assert det["log_mass_h_covered"] <= comps + 1e-12
+            assert comps <= det["log_mass_total"] + 1e-12
+    assert "I" in seen and "II.1" in seen

@@ -18,7 +18,6 @@ from oscillab.geometry import (
     margin_tol,
     polygon_diameter,
     sample_polygon_uniform,
-    tangent_interval,
     tilted_side_classification,
     transfinite_diameter_estimate,
     triangle_containment_check,
@@ -191,10 +190,10 @@ def test_polygon_size_invariants(seed):
 
 def test_square_tangent_interval():
     K = ConvexDomain.unit_square()
-    mid = tangent_interval(K, 0.5)
+    mid = K.boundary_point(0.5)
     assert mid.omega == pytest.approx(0.0, abs=1e-15)
     assert mid.alpha == pytest.approx(0.0, abs=1e-15)
-    vert = tangent_interval(K, 1.0)
+    vert = K.boundary_point(1.0)
     assert vert.omega == pytest.approx(math.pi / 2, rel=1e-12)
     assert vert.z == 1 + 0j
 

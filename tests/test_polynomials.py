@@ -18,8 +18,9 @@ from oscillab.geometry import ConvexDomain
 from oscillab.polynomials import (
     LqNorm,
     MarkovFactor,
-    QuadratureGrid,
     RootPolynomial,
+    _adaptive_log_integral,
+    _boundary_pieces,
     evaluate,
     inverse_markov_factor,
     log_abs,
@@ -309,24 +310,43 @@ def test_scale_invariance_of_markov_factor():
     assert a.log_norm_p == b.log_norm_p
 
 
-# --------------------------------------------------------------- grids
+# --------------------------------------------------------------- pieces
 
-def test_quadrature_weights_sum_to_perimeter():
-    for K in (ConvexDomain.unit_square(), ConvexDomain.disk(1j, 2.5),
-              random_convex_polygon(trial_rng(20260818, 24), vertices=7)):
-        grid = QuadratureGrid.build(K)
-        assert grid.total_weight == pytest.approx(K.perimeter,
-                                                  abs=1e-10 * K.perimeter)
-        assert np.all(grid.w > 0)
-        assert np.all((grid.s >= 0) & (grid.s <= K.perimeter))
+PIECE_DOMAINS = (ConvexDomain.unit_square(), ConvexDomain.disk(1j, 2.5),
+                 random_convex_polygon(trial_rng(20260818, 24), vertices=7))
+CUTS = (0.3, 1.0, 2.71828)
 
 
-def test_quadrature_integrates_arclength_polynomials():
-    K = ConvexDomain.unit_square()
-    grid = QuadratureGrid.build(K)
-    # s^3 is polynomial on each edge piece, so the rule is exact
-    got = float((grid.w * grid.s ** 3).sum())
-    assert got == pytest.approx(4.0 ** 4 / 4, rel=1e-12)
+def test_boundary_pieces_tile_the_boundary():
+    for K in PIECE_DOMAINS:
+        for pieces in (_boundary_pieces(K),
+                       _boundary_pieces(K, CUTS + (0.0, K.perimeter))):
+            lengths = [b - a for a, b in pieces]
+            assert min(lengths) > 0
+            assert sum(lengths) == pytest.approx(K.perimeter,
+                                                 abs=1e-12 * K.perimeter)
+            # consecutive, from 0 to L
+            assert pieces[0][0] == 0.0 and pieces[-1][1] == K.perimeter
+            assert all(b == a2 for (_, b), (a2, _) in zip(pieces,
+                                                         pieces[1:]))
+        pieces = _boundary_pieces(K, CUTS)
+        assert set(CUTS) <= {s for piece in pieces for s in piece}
+        if K.kind == "polygon":
+            # each piece lies within one edge
+            corners = [K.vertex_s(i) for i in range(len(K.vertices))]
+            for a, b in pieces:
+                assert not any(a < c < b for c in corners), (a, b)
+
+
+def test_constant_integrand_gives_piece_lengths():
+    flat = lambda z: np.zeros(np.shape(z))
+    for K in PIECE_DOMAINS:
+        pieces = _boundary_pieces(K, CUTS)
+        masses, panels = _adaptive_log_integral(K, flat, 2.0, 1e-8, pieces)
+        # every piece is accepted at its first halving, so none is split
+        assert panels == len(pieces)
+        lengths = np.array([b - a for a, b in pieces])
+        assert np.allclose(np.exp(masses), lengths, rtol=1e-14, atol=0)
 
 
 # --------------------------------------------------------------- records

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from oscillab import search
 from oscillab.geometry import ConvexDomain
 from oscillab.polynomials import RootPolynomial, inverse_markov_factor
 from oscillab.search import (
@@ -168,6 +169,15 @@ def _exhaustive_symmetric_grid(K, q):
         if val < best_val:
             best_val, best_roots = val, ms
     return inverse_markov_factor(RootPolynomial(1.0, best_roots), K, q).M
+
+
+def test_infeasible_start_raises(monkeypatch):
+    # the start check is a real check, not an assert that -O removes
+    monkeypatch.setattr(search, "_init_roots",
+                        lambda K, config, rng: np.array([2.0 + 2.0j] * 4))
+    with pytest.raises(ValueError, match="infeasible start"):
+        minimize_oscillation(SQUARE, SearchConfig(n=4, q=2.0, budget=40,
+                                                  seed=1, restarts=1))
 
 
 def test_square_degree_four_matches_exhaustive_grid():
