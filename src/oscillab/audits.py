@@ -9,8 +9,6 @@ on log scale; each report says so in its detail map.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,7 +19,7 @@ from .polynomials import (
     RootPolynomial,
     _adaptive_log_integral,
     _boundary_pieces,
-    _golden_max,
+    _grid_max,
     _log_sum,
     log_abs,
     log_derivative,
@@ -121,7 +119,8 @@ def _h_intervals(p: RootPolynomial, K: ConvexDomain, q: float,
                  n: int = None, mesh: int = 4096,
                  multiplier: float = 1.0) -> tuple:
     """(arclength intervals of {|p| > multiplier c n^(-2/q) |p|_inf}, log
-    threshold).  Mesh crossings are bisected to 1e-12 of the perimeter;
+    threshold).  All mesh crossings are bisected together, each for up to
+    60 steps or until its bracket is under 1e-12 of the perimeter;
     intervals lie in [0, L], an arc through s = 0 split in two."""
     log_sup = sup_norm(p, K).log_value
     log_thr = log_h_threshold(p, K, q, n=n, log_sup=log_sup) \
@@ -130,31 +129,26 @@ def _h_intervals(p: RootPolynomial, K: ConvexDomain, q: float,
     ss = np.linspace(0.0, L, mesh, endpoint=False)
     above = log_abs(p, K.gamma(ss)) > log_thr
 
-    def refine(s_in, s_out):
-        # bisect between an inside and an outside sample
-        for _ in range(60):
-            mid = 0.5 * (s_in + s_out)
-            if log_abs(p, K.gamma(np.asarray([mid])))[0] > log_thr:
-                s_in = mid
-            else:
-                s_out = mid
-            if abs(s_in - s_out) < 1e-12 * L:
-                break
-        return 0.5 * (s_in + s_out)
-
     intervals = []
     if above.all():
         intervals = [(0.0, L)]
     elif above.any():
-        edges = []
-        for i in np.nonzero(above != np.roll(above, -1))[0]:
-            a = float(ss[i])
-            b = float(ss[i + 1]) if i + 1 < mesh else L
-            if above[i]:
-                edges.append((refine(a, b), "close"))
-            else:
-                edges.append((refine(b, a), "open"))
-        edges.sort()
+        # each crossing lies between an inside and an outside sample
+        idx = np.nonzero(above != np.roll(above, -1))[0]
+        a, b = ss[idx], np.append(ss, L)[idx + 1]
+        closes = above[idx]
+        s_in, s_out = np.where(closes, a, b), np.where(closes, b, a)
+        live = np.ones(idx.size, dtype=bool)
+        for _ in range(60):
+            if not live.any():
+                break
+            mid = 0.5 * (s_in[live] + s_out[live])
+            up = log_abs(p, K.gamma(mid)) > log_thr
+            s_in[live] = np.where(up, mid, s_in[live])
+            s_out[live] = np.where(up, s_out[live], mid)
+            live &= np.abs(s_in - s_out) >= 1e-12 * L
+        edges = sorted(zip((0.5 * (s_in + s_out)).tolist(),
+                           np.where(closes, "close", "open").tolist()))
         # the set is a union of arcs; boundaries alternate around the loop
         if edges[0][1] == "close":
             edges.append((edges.pop(0)[0] + L, "close"))
@@ -253,15 +247,11 @@ def _segment_sup_product(ws: np.ndarray, half: float, grid: int = 2049,
     """Sup of |prod (x - w_j)| over x in [-half, half], grid plus golden
     polish around the best grid point."""
     xs = np.linspace(-half, half, grid)
-    vals = np.abs(xs[:, None] - ws[None, :]).prod(axis=1)
-    i = int(np.argmax(vals))
+    f = lambda x: np.abs(x[:, None] - ws[None, :]).prod(axis=1)
+    vals = f(xs)
     if not polish:
-        return float(vals[i])
-    f = lambda x: float(np.abs(x - ws).prod())
-    lo = xs[max(i - 1, 0)]
-    hi = xs[min(i + 1, grid - 1)]
-    _, v_ref = _golden_max(f, lo, hi)
-    return max(float(vals[i]), v_ref)
+        return float(vals[int(np.argmax(vals))])
+    return _grid_max(f, xs, vals)[1]
 
 
 def chebyshev_floor_check(J_length: float, k: int, trials: int = 20,
@@ -470,12 +460,9 @@ def _segment_log_max(p: RootPolynomial, z0: complex, z1: complex,
     """Max of log|p| on the segment [z0, z1] by grid plus golden polish."""
     if z0 == z1:
         return float(log_abs(p, np.asarray([z0]))[0])
+    f = lambda t: log_abs(p, z0 + t * (z1 - z0))
     ts = np.linspace(0.0, 1.0, count)
-    vals = log_abs(p, z0 + ts * (z1 - z0))
-    i = int(np.argmax(vals))
-    f = lambda t: float(log_abs(p, np.asarray([z0 + t * (z1 - z0)]))[0])
-    _, v_ref = _golden_max(f, ts[max(i - 1, 0)], ts[min(i + 1, count - 1)])
-    return max(float(vals[i]), v_ref)
+    return _grid_max(f, ts, f(ts))[1]
 
 
 def tilted_normal_audit(p: RootPolynomial, zeta: BoundaryPoint,
@@ -940,21 +927,12 @@ AUDIT_IDS = ("nikolskii", "hset", "hgap", "chebyshev", "transfinite",
 
 def run_batch(audit_id: str, trials: int, seed: int,
               params: dict = None, max_workers: int = None) -> list:
-    """Run a batch of audit trials; results come back in trial order
-    regardless of the worker count (OSC_LAB_THREADS by default)."""
-    if max_workers is None:
-        max_workers = int(os.environ.get("OSC_LAB_THREADS", "1"))
-    indices = range(trials)
-    if max_workers <= 1:
-        batches = [audit_trial(audit_id, i, seed, params) for i in indices]
-    else:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            futs = [pool.submit(audit_trial, audit_id, i, seed, params)
-                    for i in indices]
-            batches = [f.result() for f in futs]
+    """Run a batch of audit trials, one after another, in trial order.
+    max_workers is accepted and ignored; it will be removed in the next
+    release."""
     out = []
-    for i, reports in zip(indices, batches):
-        for rep in reports:
+    for i in range(trials):
+        for rep in audit_trial(audit_id, i, seed, params):
             rec = dict(rep.detail)
             rec["trial"] = i
             out.append(AuditReport(rep.audit_id, rep.lhs, rep.rhs,

@@ -66,6 +66,13 @@ def _load_domain(path: str, label: str = "invalid domain") -> ConvexDomain:
         raise _InputError(f"{label}: {exc}") from exc
 
 
+def _read_json(path: Path, label: str):
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
+        raise _InputError(f"{label}: {exc}") from exc
+
+
 def _manifest(command: str, domain_file: str, params: dict,
               outputs: list) -> tuple:
     doc = {
@@ -282,8 +289,8 @@ def cmd_table(args) -> int:
         if not path.is_file():
             print(f"missing manifest: {man_path}", file=sys.stderr)
             return EXIT_INPUT
-        doc = json.loads(path.read_text(encoding="utf-8"))
-        if doc.get("command") != "search":
+        doc = _read_json(path, f"invalid manifest {man_path}")
+        if not isinstance(doc, dict) or doc.get("command") != "search":
             print(f"not a search manifest: {man_path}", file=sys.stderr)
             return EXIT_INPUT
         result_path = path.parent / "search.json"
@@ -291,13 +298,17 @@ def cmd_table(args) -> int:
             print(f"missing search output next to manifest: {man_path}",
                   file=sys.stderr)
             return EXIT_INPUT
-        record = json.loads(result_path.read_text(encoding="utf-8"))
+        record = _read_json(result_path,
+                            f"invalid search output next to {man_path}")
         K = _load_domain(doc.get("domain_file", ""),
                          f"invalid domain in manifest {man_path}")
-        n = doc["params"]["n"]
-        q = doc["params"]["q"]
+        try:
+            n, q = doc["params"]["n"], doc["params"]["q"]
+            best = record["best_M"]
+        except (KeyError, TypeError) as exc:
+            raise _InputError(f"invalid search manifest {man_path}: "
+                              f"bad or missing field ({exc!r})") from exc
         d, w = K.diameter, K.width
-        best = record["best_M"]
         rows.append((
             doc["domain_file"], n, q, best,
             n / 2.0 if K.kind == "disk" else "",

@@ -27,7 +27,7 @@ from .polynomials import (
     RootPolynomial,
     _adaptive_log_integral,
     _boundary_pieces,
-    _golden_max,
+    _grid_max,
     _log_sum,
     log_abs,
     lq_norm,
@@ -503,23 +503,15 @@ class CaseSplit:
 
 def _arc_extrema(p, K, comp_arc, grid=4096):
     """(min, max) of log|p| over a component arc via a dense grid plus a
-    golden-section polish around each candidate."""
+    golden-section polish, within one grid step, of the grid min and of
+    the grid max."""
     L = K.perimeter
     ss = np.linspace(comp_arc.start_s, comp_arc.end_s, grid)
-    vals = log_abs(p, K.gamma(ss % L))
     step = (comp_arc.end_s - comp_arc.start_s) / (grid - 1)
-
-    def f(s):
-        return float(log_abs(p, complex(K.gamma(s % L))))
-
-    i_max = int(np.argmax(vals))
-    _, v_hi = _golden_max(f, float(ss[i_max]) - step, float(ss[i_max]) + step)
-    i_min = int(np.argmin(vals))
-    _, v_lo_neg = _golden_max(lambda s: -f(s),
-                              float(ss[i_min]) - step,
-                              float(ss[i_min]) + step)
-    v_lo = -v_lo_neg
-    return min(v_lo, float(np.min(vals))), max(v_hi, float(np.max(vals)))
+    f = lambda s: log_abs(p, K.gamma(s % L))
+    vals = f(ss)
+    _, v_lo_neg = _grid_max(lambda s: -f(s), ss, -vals, step)
+    return -v_lo_neg, _grid_max(f, ss, vals, step)[1]
 
 
 def case_split(p: RootPolynomial, K: ConvexDomain, q: float,

@@ -14,7 +14,9 @@ A chunk holds about 2^16 (point, root) pairs, roughly 1 MB of complex
 temporaries, so the working set stays inside a 2 MB per-core L2 cache.
 Because the roots axis is never split, a point's value does not depend on
 the batch it arrives in.  The sup norms of p and p' share one dense mesh
-pass (`sup_norms`), which is how M_inf is computed.
+pass (`sup_norms`), which is how M_inf is computed.  Every grid maximizer,
+here and in the audits and the covering, polishes its grid peaks with one
+batched golden-section search (`_grid_max`).
 """
 
 from __future__ import annotations
@@ -128,34 +130,6 @@ def log_abs(p: RootPolynomial, z) -> np.ndarray:
         out += _root_sums(p._root_array, flat, False)[0]
     out = out.reshape(arr.shape)
     return float(out) if scalar else out
-
-
-def log_evaluate(p: RootPolynomial, z) -> np.ndarray:
-    """Complex log of p(z); real part is log|p|, imaginary part the argument
-    summed branch by branch."""
-    arr, scalar = _as_array(z)
-    flat = arr.ravel()
-    if p.lead == 0:
-        out = np.full(flat.shape, complex(-math.inf, 0.0))
-        return complex(out[0]) if scalar else out.reshape(arr.shape)
-    out = np.full(flat.shape, complex(np.log(complex(p.lead))))
-    if p.roots:
-        roots = p._root_array
-        for sl in _point_chunks(flat.size, roots.size):
-            out[sl] += np.log(flat[sl, None] - roots[None, :]).sum(axis=1)
-    out = out.reshape(arr.shape)
-    return complex(out) if scalar else out
-
-
-def evaluate(p: RootPolynomial, z):
-    """p(z) itself.  Overflows for large degrees; meant for small n and
-    for tests."""
-    arr, scalar = _as_array(z)
-    if p.n == 0:
-        out = np.full(arr.shape, p.lead)
-        return complex(p.lead) if scalar else out
-    out = np.exp(log_evaluate(p, arr))
-    return complex(out) if scalar else out
 
 
 def log_derivative(p: RootPolynomial, z):
@@ -336,20 +310,66 @@ _INV_GOLD = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def _golden_max(f, lo, hi, iters=80):
-    a, b = lo, hi
-    c = b - _INV_GOLD * (b - a)
-    d = a + _INV_GOLD * (b - a)
-    fc, fd = f(c), f(d)
+    """Golden-section search for the max of f on every bracket [lo_i, hi_i]
+    at once.  Each step makes one f call on the array of the brackets' new
+    points, and each bracket runs the scalar recurrence in Python floats,
+    so its result does not depend on the others.  Returns the arrays
+    (argmax, max)."""
+    a = np.asarray(lo, dtype=float).tolist()
+    b = np.asarray(hi, dtype=float).tolist()
+    k = len(a)
+    c = [b[i] - _INV_GOLD * (b[i] - a[i]) for i in range(k)]
+    d = [a[i] + _INV_GOLD * (b[i] - a[i]) for i in range(k)]
+    fc, fd = f(np.array(c)).tolist(), f(np.array(d)).tolist()
     for _ in range(iters):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_GOLD * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_GOLD * (b - a)
-            fd = f(d)
-    return (c, fc) if fc >= fd else (d, fd)
+        left = [fc[i] >= fd[i] for i in range(k)]
+        x = []
+        for i in range(k):
+            if left[i]:
+                b[i], d[i], fd[i] = d[i], c[i], fc[i]
+                x.append(b[i] - _INV_GOLD * (b[i] - a[i]))
+            else:
+                a[i], c[i], fc[i] = c[i], d[i], fd[i]
+                x.append(a[i] + _INV_GOLD * (b[i] - a[i]))
+        for i, fx in enumerate(f(np.array(x)).tolist()):
+            if left[i]:
+                c[i], fc[i] = x[i], fx
+            else:
+                d[i], fd[i] = x[i], fx
+    top = [fc[i] >= fd[i] for i in range(k)]
+    return (np.array([c[i] if top[i] else d[i] for i in range(k)]),
+            np.array([fc[i] if top[i] else fd[i] for i in range(k)]))
+
+
+def _grid_max(f, xs, vals, step=None, top=1) -> tuple:
+    """(x, value) of the max of the vectorized f, from its values vals on
+    the grid xs and one batched golden-section polish around the grid's
+    peaks.  With top = 1 the one peak is the grid argmax; a larger top
+    takes up to that many local maxima of the cyclic grid within
+    max(2, 1e-6 |max|) of the max, best first.  A peak is bracketed by its
+    position +- step, or with no step by its grid neighbours (clipped at
+    the ends).  A polished value replaces the grid max only when strictly
+    larger, the first such peak winning ties."""
+    i = int(np.argmax(vals))
+    best_x, best_v = float(xs[i]), float(vals[i])
+    if top == 1:
+        cand = np.array([i])
+    else:
+        is_peak = (vals >= np.roll(vals, 1)) & (vals >= np.roll(vals, -1))
+        cutoff = best_v - max(2.0, 1e-6 * abs(best_v))
+        cand = np.nonzero(is_peak & (vals >= cutoff))[0]
+        cand = cand[np.argsort(vals[cand])[::-1][:top]]
+    if step is None:
+        lo = xs[np.maximum(cand - 1, 0)]
+        hi = xs[np.minimum(cand + 1, xs.size - 1)]
+    else:
+        lo, hi = xs[cand] - step, xs[cand] + step
+    x_ref, v_ref = _golden_max(f, lo, hi)
+    better = v_ref > best_v
+    if better.any():
+        j = int(np.argmax(np.where(better, v_ref, -math.inf)))
+        return float(x_ref[j]), float(v_ref[j])
+    return best_x, best_v
 
 
 def _sup_mesh(p: RootPolynomial, K: ConvexDomain) -> np.ndarray:
@@ -362,30 +382,15 @@ def _sup_mesh(p: RootPolynomial, K: ConvexDomain) -> np.ndarray:
     return np.linspace(0.0, K.perimeter, count, endpoint=False)
 
 
-def _sup_polish(K: ConvexDomain, ss: np.ndarray, vals: np.ndarray,
-                flog) -> SupNorm:
-    """Golden-section polish of flog around every local peak of the mesh
-    values vals = flog(K.gamma(ss)) in the top tier."""
-    count = ss.size
-    best_val = float(np.max(vals))
-    # local maxima on the cyclic mesh, keeping only near-top candidates
-    left = np.roll(vals, 1)
-    right = np.roll(vals, -1)
-    is_peak = (vals >= left) & (vals >= right)
-    cutoff = best_val - max(2.0, 1e-6 * abs(best_val))
-    cand = np.nonzero(is_peak & (vals >= cutoff))[0]
-    order = np.argsort(vals[cand])[::-1][:16]
-    cand = cand[order]
-    step = K.perimeter / count
-    best = (best_val, float(ss[int(np.argmax(vals))]))
-    g = lambda s: float(flog(K.gamma(np.asarray([s % K.perimeter])))[0])
-    for i in cand:
-        s0 = float(ss[i])
-        s_ref, v_ref = _golden_max(g, s0 - step, s0 + step)
-        if v_ref > best[0]:
-            best = (v_ref, s_ref % K.perimeter)
-    log_value, s_at = best
-    return SupNorm(log_value, s_at, complex(K.gamma(s_at)))
+def _mesh_sup(K: ConvexDomain, ss: np.ndarray, vals: np.ndarray,
+              flog) -> SupNorm:
+    """The SupNorm of e^{flog} from its values vals on the mesh ss, with
+    up to 16 top-tier peaks polished within one mesh step."""
+    L = K.perimeter
+    s, log_value = _grid_max(lambda s: flog(K.gamma(s % L)), ss, vals,
+                             L / ss.size, top=16)
+    s %= L
+    return SupNorm(log_value, s, complex(K.gamma(s)))
 
 
 def sup_norm(p: RootPolynomial, K: ConvexDomain, flog=None) -> SupNorm:
@@ -395,7 +400,7 @@ def sup_norm(p: RootPolynomial, K: ConvexDomain, flog=None) -> SupNorm:
     if flog is None:
         flog = lambda z: log_abs(p, z)
     ss = _sup_mesh(p, K)
-    return _sup_polish(K, ss, flog(K.gamma(ss)), flog)
+    return _mesh_sup(K, ss, flog(K.gamma(ss)), flog)
 
 
 def sup_norms(p: RootPolynomial, K: ConvexDomain) -> tuple:
@@ -404,8 +409,8 @@ def sup_norms(p: RootPolynomial, K: ConvexDomain) -> tuple:
     sup_norm(p, K, flog=logabs_derivative) bit for bit."""
     ss = _sup_mesh(p, K)
     vals_p, vals_dp = logabs_derivative(p, K.gamma(ss), with_log_abs=True)
-    return (_sup_polish(K, ss, vals_p, lambda z: log_abs(p, z)),
-            _sup_polish(K, ss, vals_dp, lambda z: logabs_derivative(p, z)))
+    return (_mesh_sup(K, ss, vals_p, lambda z: log_abs(p, z)),
+            _mesh_sup(K, ss, vals_dp, lambda z: logabs_derivative(p, z)))
 
 
 # ------------------------------------------------------------- Lq norms

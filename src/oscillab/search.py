@@ -20,7 +20,7 @@ import numpy as np
 
 from .audits import AuditReport
 from .geometry import ConvexDomain
-from .polynomials import RootPolynomial, inverse_markov_factor
+from .polynomials import RootPolynomial, _root_sums, inverse_markov_factor
 
 __all__ = [
     "SearchConfig",
@@ -122,19 +122,13 @@ def _boundary_quadrature(K: ConvexDomain, n: int):
     return np.concatenate(zs_all), np.concatenate(ws_all)
 
 
-def _node_sums(roots: np.ndarray, zs: np.ndarray):
-    """Per-node log|p| and p'/p of prod (z - root_j): the sums over the
-    roots of log|z - root_j| and 1/(z - root_j)."""
-    dz = zs[:, None] - roots[None, :]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.log(np.abs(dz)).sum(axis=1), (1.0 / dz).sum(axis=1)
-
-
 def _moved_sums(sums, roots: np.ndarray, zs: np.ndarray, j: int,
                 z: complex):
-    """The node sums after root j moves to z: add the new root's terms and
-    subtract the old root's, in O(nodes).  When that is not finite (a root
-    on a node) the sums are recomputed in full."""
+    """The node sums (log|p|, p'/p) of prod (z - root_j) after root j
+    moves to z: add the new root's terms and subtract the old root's, in
+    O(nodes).  When that is not finite (a root on a node) the sums are
+    recomputed in full by the kernel's _root_sums, whose nearest-root
+    distances the search does not use."""
     plog, inv = sums
     new, old = zs - z, zs - roots[j]
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -144,14 +138,14 @@ def _moved_sums(sums, roots: np.ndarray, zs: np.ndarray, j: int,
         return plog, inv
     moved = roots.copy()
     moved[j] = z
-    return _node_sums(moved, zs)
+    return _root_sums(moved, zs, True)[::2]
 
 
 def _fast_log_M(roots: np.ndarray, zs: np.ndarray, ws: np.ndarray,
                 q: float) -> float:
     """log of the oscillation factor of prod (z - root_j) on the fixed
     quadrature; nodes colliding with a root drop out of both norms."""
-    return _log_M_from_sums(*_node_sums(roots, zs), ws, q)
+    return _log_M_from_sums(*_root_sums(roots, zs, True)[::2], ws, q)
 
 
 def _log_M_from_sums(plog: np.ndarray, inv: np.ndarray, ws: np.ndarray,
@@ -207,7 +201,7 @@ def _restart_search(K, config, restart, budget, zs, ws):
     roots = _init_roots(K, config, rng)
     if not all(K.contains(z) for z in roots):
         raise ValueError("infeasible start: a root lies outside K")
-    sums = _node_sums(roots, zs)
+    sums = _root_sums(roots, zs, True)[::2]
     cur = _log_M_from_sums(*sums, ws, config.q)
     evals = 1
     accepted = 0
@@ -235,7 +229,7 @@ def _restart_search(K, config, restart, budget, zs, ws):
                 # rescored from them so that a proposal projected back onto
                 # the same root ties with it exactly, as in a full rescore
                 if accepted % config.n == 0:
-                    sums = _node_sums(roots, zs)
+                    sums = _root_sums(roots, zs, True)[::2]
                     cur = _log_M_from_sums(*sums, ws, config.q)
         if not improved:
             radius *= 0.5

@@ -249,6 +249,25 @@ def test_table_missing_manifest(tmp_path):
     assert cli.main(["table", "--out", str(tmp_path / "t")]) == 2
 
 
+@pytest.mark.parametrize("manifest", [
+    '{"command": "search", "domain_fi',
+    None,
+], ids=["truncated", "no-params"])
+def test_table_malformed_manifest_exits_two(domains, tmp_path, capsys,
+                                            manifest):
+    run = tmp_path / "run"
+    run.mkdir()
+    if manifest is None:
+        manifest = json.dumps({"command": "search",
+                               "domain_file": domains["disk"]})
+    (run / "manifest.json").write_text(manifest)
+    (run / "search.json").write_text(json.dumps({"best_M": 2.0}))
+    assert cli.main(["table", str(run / "manifest.json"),
+                     "--out", str(tmp_path / "t")]) == 2
+    err = capsys.readouterr().err
+    assert "manifest" in err and "Traceback" not in err
+
+
 def test_rerun_is_byte_identical(domains, tmp_path):
     outs = []
     for tag in ("a", "b"):

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oscillab.errors import SingularPoint, ZeroNorm
+from oscillab import polynomials
 from oscillab.geometry import ConvexDomain
 from oscillab.polynomials import (
     LqNorm,
@@ -21,7 +22,7 @@ from oscillab.polynomials import (
     RootPolynomial,
     _adaptive_log_integral,
     _boundary_pieces,
-    evaluate,
+    _golden_max,
     inverse_markov_factor,
     log_abs,
     log_derivative,
@@ -56,20 +57,29 @@ def trapezoid_norm(p, K, q, pts_per_edge=200_001):
 
 # --------------------------------------------------------------- basics
 
+def _mp_poly(p, z):
+    """p(z) as an mpmath product at 50 digits."""
+    with mpmath.workdps(50):
+        return mpmath.mpc(p.lead) * mpmath.fprod(
+            mpmath.mpc(z) - mpmath.mpc(r) for r in p.roots)
+
+
 def test_evaluate_and_log_abs():
     p = RootPolynomial(2.0, [1.0, -1.0])
-    assert evaluate(p, 2.0) == pytest.approx(6.0)
-    assert evaluate(p, 0j) == pytest.approx(-2.0)
+    for z in (2.0, 0j, 3.0 + 0j):
+        want = float(mpmath.log(abs(_mp_poly(p, z))))
+        assert log_abs(p, z) == pytest.approx(want, rel=1e-15, abs=1e-15)
     zs = np.array([2.0 + 0j, 3.0 + 0j])
-    np.testing.assert_allclose(evaluate(p, zs), [6.0, 16.0])
-    assert log_abs(p, 2.0) == pytest.approx(math.log(6.0))
+    np.testing.assert_allclose(np.exp(log_abs(p, zs)), [6.0, 16.0],
+                               rtol=1e-15)
     assert log_abs(p, 1.0) == -math.inf
 
 
 def test_constant_polynomial():
     p = RootPolynomial(3.0, [])
     assert p.n == 0
-    assert evaluate(p, 5.0) == pytest.approx(3.0)
+    assert log_abs(p, 5.0) == pytest.approx(
+        float(mpmath.log(abs(_mp_poly(p, 5.0)))), rel=1e-15)
     K = ConvexDomain.unit_disk()
     rep = inverse_markov_factor(p, K, 2.0)
     assert rep.M == 0.0
@@ -85,8 +95,10 @@ def test_log_derivative_matches_finite_difference():
     p = RootPolynomial(1.0, [0.2 + 0.1j, -0.4, 0.5j])
     z = 1.1 + 0.3j
     h = 1e-7
-    fd = (evaluate(p, z + h) - evaluate(p, z - h)) / (2 * h) / evaluate(p, z)
-    assert log_derivative(p, z) == pytest.approx(fd, rel=1e-6)
+    with mpmath.workdps(50):
+        fd = ((_mp_poly(p, z + h) - _mp_poly(p, z - h)) / (2 * h)
+              / _mp_poly(p, z))
+    assert log_derivative(p, z) == pytest.approx(complex(fd), rel=1e-6)
 
 
 def test_log_derivative_singular_on_root():
@@ -281,6 +293,48 @@ def test_fused_sup_norms_match_separate(K):
     want = alone_dp.value / alone_p.value
     assert inverse_markov_factor(p, K, math.inf).M == pytest.approx(
         want, rel=1e-12)
+
+
+def test_batched_golden_max_matches_single_brackets():
+    rng = trial_rng(20260818, 34)
+    K = ConvexDomain.regular_polygon(8)
+    p = RootPolynomial(1.0, random_roots_in(K, 40, rng))
+    f = lambda s: logabs_derivative(p, K.gamma(s))
+    lo = rng.uniform(0.0, K.perimeter, size=12)
+    hi = lo + rng.uniform(1e-6, 0.5, size=12)
+    xs, vs = _golden_max(f, lo, hi)
+    assert xs.shape == vs.shape == (12,)
+    for i in range(12):
+        x1, v1 = _golden_max(f, lo[i:i + 1], hi[i:i + 1])
+        assert (x1[0], v1[0]) == (xs[i], vs[i])
+        assert lo[i] <= xs[i] <= hi[i]
+
+
+def test_sup_polish_cost_does_not_grow_with_candidates(monkeypatch):
+    # |z^n| = 1 on the unit circle, so every mesh value is in the top tier
+    # and the polish takes the full 16 candidates; (z - 1/2) has one peak
+    D = ConvexDomain.unit_disk()
+    brackets, kernel = [], []
+    golden, sums = polynomials._golden_max, polynomials._root_sums
+
+    def counted_golden(f, lo, hi, *args):
+        brackets.append(np.size(lo))
+        return golden(f, lo, hi, *args)
+
+    def counted_sums(*args):
+        kernel.append(1)
+        return sums(*args)
+
+    monkeypatch.setattr(polynomials, "_golden_max", counted_golden)
+    monkeypatch.setattr(polynomials, "_root_sums", counted_sums)
+    calls = []
+    for roots in ([0j] * 64, [0.5 + 0j]):
+        kernel.clear()
+        sup_norm(RootPolynomial(1.0, roots), D)
+        calls.append(len(kernel))
+    assert brackets == [16, 1]
+    # one mesh pass, then two initial probes and 80 golden steps
+    assert calls == [1 + 82, 1 + 82]
 
 
 @pytest.mark.parametrize("n", [8, 65])
