@@ -926,10 +926,8 @@ AUDIT_IDS = ("nikolskii", "hset", "hgap", "chebyshev", "transfinite",
 
 
 def run_batch(audit_id: str, trials: int, seed: int,
-              params: dict = None, max_workers: int = None) -> list:
-    """Run a batch of audit trials, one after another, in trial order.
-    max_workers is accepted and ignored; it will be removed in the next
-    release."""
+              params: dict = None) -> list:
+    """Run a batch of audit trials, one after another, in trial order."""
     out = []
     for i in range(trials):
         for rep in audit_trial(audit_id, i, seed, params):

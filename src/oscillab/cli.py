@@ -308,6 +308,11 @@ def cmd_table(args) -> int:
         except (KeyError, TypeError) as exc:
             raise _InputError(f"invalid search manifest {man_path}: "
                               f"bad or missing field ({exc!r})") from exc
+        if not (type(n) is int
+                and type(q) in (int, float) and q >= 1):
+            raise _InputError(f"invalid search manifest {man_path}: need an "
+                              f"integer n and a number q >= 1, got n={n!r}, "
+                              f"q={q!r}")
         d, w = K.diameter, K.width
         rows.append((
             doc["domain_file"], n, q, best,

@@ -108,44 +108,39 @@ class BoundaryArc:
 
 
 def good_point_test(K: ConvexDomain, zeta: BoundaryPoint, r: float,
-                    theta: float = None) -> bool:
+                    theta: float = None) -> bool | np.ndarray:
     """True when each tilted chord through zeta (directions sigma +- 2
-    theta) either has length at least r or misses the interior of K."""
+    theta) either has length at least r or misses the interior of K.  An
+    array-valued zeta gives a bool mask."""
     if r <= 0:
         raise ValueError("r must be positive")
     theta = covering_tilt_angle(K) if theta is None else theta
-    sigma = zeta.sigma
-    for sign in (-1.0, 1.0):
-        c = chord(K, zeta.z, sigma + sign * 2.0 * theta)
-        if c.hits_interior and c.delta < r:
-            return False
-    return True
+    good = ~_short_chords(K, zeta, r, theta)[0]
+    return bool(good) if good.ndim == 0 else good
 
 
-def _short_chord(K, bp, r, theta):
-    """The shorter interior-hitting tilted chord with length < r, if any."""
-    best = None
-    for sign in (-1.0, 1.0):
-        c = chord(K, bp.z, bp.sigma + sign * 2.0 * theta)
-        if c.hits_interior and c.delta < r:
-            if best is None or c.delta < best.delta:
-                best = c
-    return best
+def _short_chords(K, bp, r, theta):
+    """(found, D): where a tilted chord through bp hits the interior with
+    length < r, and the far end of the shorter such chord (the minus tilt
+    on a tie)."""
+    c_m, c_p = (chord(K, bp.z, bp.sigma + sign * 2.0 * theta)
+                for sign in (-1.0, 1.0))
+    short_m = np.logical_and(c_m.hits_interior, c_m.delta < r)
+    short_p = np.logical_and(c_p.hits_interior, c_p.delta < r)
+    use_p = short_p & (~short_m | (c_p.delta < c_m.delta))
+    return short_m | short_p, np.where(use_p, c_p.D, c_m.D)
 
 
-def _arc_for_point(K, bp, r, theta, length_bound, phi):
-    """Elementary arc for a non-good point: the short boundary arc between
-    the point and the far end of its short tilted chord."""
-    c = _short_chord(K, bp, r, theta)
-    if c is None:
-        return None
+def _elementary_arc(K, s, D, length_bound, phi):
+    """Elementary arc for the non-good point at s: the short boundary arc
+    between the point and the far end D of its short tilted chord."""
     L = K.perimeter
-    s_far = K.nearest_boundary_s(c.D)
-    fwd = (s_far - bp.s) % L
+    s_far = K.nearest_boundary_s(D)
+    fwd = (s_far - s) % L
     if fwd == 0.0:
         return None
     if fwd <= L - fwd:
-        start, length = bp.s % L, fwd
+        start, length = s % L, fwd
     else:
         start, length = s_far % L, L - fwd
     var = K.tangent_variation(start, start + length)
@@ -192,31 +187,32 @@ def elementary_arcs(K: ConvexDomain, r: float, theta: float = None,
     length_bound = 4.0 * r * K.diameter / K.width
 
     ss = _detection_points(K, r, theta, mesh)
-    good = np.array([good_point_test(K, K.boundary_point(s), r, theta)
-                     for s in ss])
-    bad_params = [float(s) for s, g in zip(ss, good) if not g]
+    good = good_point_test(K, K.boundary_point(ss), r, theta)
+    bad_params = ss[~good].tolist()
 
-    # localize each transition so arc families do not depend on the mesh
+    # localize every transition so arc families do not depend on the mesh:
+    # all brackets are halved together until each is under 1e-6 L
     resolution = 1e-6 * L
-    for i in range(len(ss)):
-        j = (i + 1) % len(ss)
-        if good[i] == good[j]:
-            continue
-        a, b = float(ss[i]), float(ss[j]) + (L if j == 0 else 0.0)
-        ga = good[i]
-        while b - a > resolution:
-            m = 0.5 * (a + b)
-            gm = good_point_test(K, K.boundary_point(m % L), r, theta)
-            if gm == ga:
-                a = m
-            else:
-                b = m
-        bad_params.append((a if not ga else b) % L)
+    i = np.nonzero(good != np.roll(good, -1))[0]
+    a = ss[i]
+    b = np.append(ss, ss[0] + L)[i + 1]
+    good_a = good[i]
+    live = b - a > resolution
+    while live.any():
+        m = 0.5 * (a[live] + b[live])
+        keep_a = good_point_test(K, K.boundary_point(m % L), r,
+                                 theta) == good_a[live]
+        a[live] = np.where(keep_a, m, a[live])
+        b[live] = np.where(keep_a, b[live], m)
+        live = b - a > resolution
+    bad_params += (np.where(good_a, b, a) % L).tolist()
 
+    bad_params.sort()
+    bp = K.boundary_point(np.asarray(bad_params))
+    found, far_ends = _short_chords(K, bp, r, theta)
     arcs = {}
-    for s in sorted(bad_params):
-        arc = _arc_for_point(K, K.boundary_point(s), r, theta,
-                             length_bound, phi)
+    for s, ok, D in zip(bp.s.tolist(), found.tolist(), far_ends.tolist()):
+        arc = _elementary_arc(K, s, D, length_bound, phi) if ok else None
         if arc is None:
             continue
         key = (round(arc.start_s / L, 9), round(arc.end_s / L, 9))
@@ -419,12 +415,11 @@ def build_covering(K: ConvexDomain, r: float, theta: float = None,
     cov = Covering(tuple(components), float(r), float(theta), cut, L)
 
     # verification: good and covered points must tile the whole boundary
-    ver = set(float(s)
-              for s in np.linspace(0.0, L, verify_mesh, endpoint=False))
-    ver.update(float(s) for s in _detection_points(K, r, theta, 16))
-    exceptions = [s for s in sorted(ver)
-                  if not good_point_test(K, K.boundary_point(s), r, theta)
-                  and not cov.contains_s(s)]
+    ver = set(np.linspace(0.0, L, verify_mesh, endpoint=False).tolist())
+    ver.update(_detection_points(K, r, theta, 16).tolist())
+    ver = np.asarray(sorted(ver))
+    good = good_point_test(K, K.boundary_point(ver), r, theta)
+    exceptions = [s for s in ver[~good].tolist() if not cov.contains_s(s)]
     if exceptions:
         raise CoveringInvalid(
             f"{len(exceptions)} boundary points neither good nor covered "

@@ -15,7 +15,6 @@ transfinite diameter by optimizing point configurations on the boundary.
 
 from __future__ import annotations
 
-import bisect
 import cmath
 import json
 import math
@@ -271,8 +270,8 @@ class ConvexDomain:
             out = self.center + self.radius * np.exp(1j * s / self.radius)
             return complex(out) if out.ndim == 0 else out
         s = np.mod(np.asarray(s, dtype=float), self.perimeter)
-        idx = np.clip(np.searchsorted(self._cum, s, side="right") - 1,
-                      0, len(self._edge_len) - 1)
+        idx = np.minimum(np.searchsorted(self._cum, s, side="right") - 1,
+                         len(self._edge_len) - 1)
         off = s - np.asarray(self._cum)[idx]
         verts = np.asarray(self.vertices)
         dirs = np.asarray(self._edge_dir)
@@ -283,28 +282,37 @@ class ConvexDomain:
         """Arc parameter of vertex i (polygon only)."""
         return self._cum[i]
 
-    def boundary_point(self, s: float) -> BoundaryPoint:
+    def boundary_point(self, s) -> BoundaryPoint:
         """Boundary point with one-sided tangent angles at arc parameter s.
 
-        s within 1e-9 * L of a polygon vertex snaps to the vertex.
+        s within 1e-9 * L of a polygon vertex snaps to the vertex. An array
+        s gives a BoundaryPoint whose fields are arrays of the same shape.
         """
         L = self.perimeter
-        s = float(s) % L
+        s = np.mod(np.asarray(s, dtype=float), L)
         if self.kind == "disk":
             a = s / self.radius + 0.5 * math.pi
-            return BoundaryPoint(s, self.gamma(s), a, a)
-        snap = 1e-9 * L
-        n = len(self.vertices)
-        i = min(bisect.bisect_right(self._cum, s) - 1, n - 1)
-        off = s - self._cum[i]
-        if off <= snap or self._edge_len[i] - off <= snap:
-            j = i if off <= snap else (i + 1) % n
-            sj = self._cum[j] if j < n else 0.0
-            a_plus = self._edge_angle[j]
-            a_minus = a_plus - self._turn[j]
-            return BoundaryPoint(sj % L, self.vertices[j], a_minus, a_plus)
-        a = self._edge_angle[i]
-        return BoundaryPoint(s, self.gamma(s), a, a)
+            z = self.gamma(s)
+            a_minus = a_plus = a
+        else:
+            snap = 1e-9 * L
+            n = len(self.vertices)
+            cum = np.asarray(self._cum)
+            i = np.minimum(np.searchsorted(cum, s, side="right") - 1, n - 1)
+            off = s - cum[i]
+            at_start = off <= snap
+            snapped = at_start | (np.asarray(self._edge_len)[i] - off <= snap)
+            j = np.where(at_start, i, (i + 1) % n)
+            a_edge = np.asarray(self._edge_angle)
+            a_plus = np.where(snapped, a_edge[j], a_edge[i])
+            a_minus = np.where(snapped, a_plus - np.asarray(self._turn)[j],
+                               a_plus)
+            z = np.where(snapped, np.asarray(self.vertices)[j], self.gamma(s))
+            s = np.where(snapped, np.mod(cum[j], L), s)
+        if s.ndim == 0:
+            return BoundaryPoint(float(s), complex(z), float(a_minus),
+                                 float(a_plus))
+        return BoundaryPoint(s, z, a_minus, a_plus)
 
     def vertex_point(self, i: int) -> BoundaryPoint:
         return self.boundary_point(self._cum[i % len(self.vertices)])
@@ -413,13 +421,11 @@ class ConvexDomain:
         if self._depth is not None:
             return self._depth
         n = len(self.vertices)
-        h = math.inf
-        for j in range(n):
-            v = self.vertices[j]
-            for e in (j, (j - 1) % n):
-                sigma = self._edge_angle_raw(e) + 0.5 * math.pi
-                h = min(h, chord(self, v, sigma).delta)
-        self._depth = max(h, 0.0)
+        # at every vertex, the inner normals of both adjacent edges
+        sigmas = [self._edge_angle_raw(e) + 0.5 * math.pi
+                  for j in range(n) for e in (j, (j - 1) % n)]
+        chords = chord(self, np.repeat(self.vertices, 2), sigmas)
+        self._depth = max(float(np.min(chords.delta)), 0.0)
         return self._depth
 
     def _edge_angle_raw(self, i: int) -> float:
@@ -486,48 +492,62 @@ def polygon_diameter(verts: Sequence[complex]) -> float:
 # chords
 
 
-def chord(K: ConvexDomain, zeta, phi: float) -> Chord:
+def chord(K: ConvexDomain, zeta, phi) -> Chord:
     """Chord of the full line through zeta with direction angle phi.
 
     zeta may be a BoundaryPoint or a complex point (not required to lie on
     the boundary; the chord of the line is well defined regardless). The
     result satisfies chord(K, z, phi).delta == chord(K, z, phi + pi).delta.
+    Points and angles may be arrays (broadcast together); the Chord fields
+    are then arrays, each entry equal to the scalar call on that entry.
     """
-    z0 = zeta.z if isinstance(zeta, BoundaryPoint) else complex(zeta)
-    u = complex(math.cos(phi), math.sin(phi))
+    z0 = zeta.z if isinstance(zeta, BoundaryPoint) else zeta
+    z0, ph = np.broadcast_arrays(np.asarray(z0, dtype=complex),
+                                 np.asarray(phi, dtype=float))
+    u = np.empty(ph.shape, dtype=complex)
+    u.real, u.imag = np.cos(ph), np.sin(ph)
     tol = K.tol
     if K.kind == "disk":
-        b = (z0 - K.center).real * u.real + (z0 - K.center).imag * u.imag
-        c = abs(z0 - K.center) ** 2 - K.radius ** 2
-        disc = b * b - c
-        if disc <= 0.0:
-            return Chord(z0, phi, 0.0, z0, 0.0, 0.0, False)
-        r = math.sqrt(disc)
+        rel = z0 - K.center
+        b = rel.real * u.real + rel.imag * u.imag
+        # abs(rel) ** 2 through libm hypot and pow, as on Python floats
+        sq = [h ** 2 for h in np.hypot(rel.real, rel.imag).ravel().tolist()]
+        disc = b * b - (np.reshape(sq, b.shape) - K.radius ** 2)
+        empty = disc <= 0.0
+        r = np.sqrt(np.where(empty, 0.0, disc))
         t_lo, t_hi = -b - r, -b + r
     else:
-        t_lo, t_hi = -math.inf, math.inf
-        for a, dirv in zip(K.vertices, K._edge_dir):
-            c0 = _cross(dirv, z0 - a)
-            c1 = _cross(dirv, u)
-            if abs(c1) <= 1e-15:
-                if c0 < -tol:
-                    return Chord(z0, phi, 0.0, z0, 0.0, 0.0, False)
-                continue
+        # the line z0 + t u crosses the line of edge k at t = -c0[k] / c1[k]
+        # (all edges at once); a point outside a parallel edge has no chord
+        edge_axis = (-1,) + (1,) * z0.ndim
+        verts = np.reshape(K.vertices, edge_axis)
+        dirs = np.reshape(K._edge_dir, edge_axis)
+        rel = z0 - verts
+        c0 = dirs.real * rel.imag - dirs.imag * rel.real
+        c1 = dirs.real * u.imag - dirs.imag * u.real
+        empty = ((np.abs(c1) <= 1e-15) & (c0 < -tol)).any(axis=0)
+        with np.errstate(divide="ignore", invalid="ignore"):
             t = -c0 / c1
-            if c1 > 0.0:
-                t_lo = max(t_lo, t)
-            else:
-                t_hi = min(t_hi, t)
-        if not (t_hi - t_lo > 0.0) or math.isinf(t_lo) or math.isinf(t_hi):
-            return Chord(z0, phi, 0.0, z0, 0.0, 0.0, False)
+        # arg-extrema take the first edge among tied values (0.0 and -0.0
+        # too), as a running max/min over the edges would
+        t_lo = np.where(c1 > 1e-15, t, -math.inf)
+        t_hi = np.where(c1 < -1e-15, t, math.inf)
+        t_lo = np.take_along_axis(t_lo, t_lo.argmax(axis=0)[None], 0)[0]
+        t_hi = np.take_along_axis(t_hi, t_hi.argmin(axis=0)[None], 0)[0]
+        empty |= ~(t_hi - t_lo > 0.0) | np.isinf(t_lo) | np.isinf(t_hi)
+    t_lo = np.where(empty, 0.0, t_lo)
+    t_hi = np.where(empty, 0.0, t_hi)
     delta = t_hi - t_lo
-    if delta <= tol:
-        return Chord(z0, phi, 0.0, z0, t_lo, t_hi, False)
-    far = t_hi if abs(t_hi) >= abs(t_lo) else t_lo
-    D = z0 + far * u
+    thin = delta <= tol
+    far = np.where(np.abs(t_hi) >= np.abs(t_lo), t_hi, t_lo)
+    D = np.where(thin, z0, z0 + far * u)
     mid = z0 + 0.5 * (t_lo + t_hi) * u
-    hits = bool(K.interior_margin(mid) > tol)
-    return Chord(z0, phi, float(delta), D, float(t_lo), float(t_hi), hits)
+    hits = ~thin & (K.interior_margin(mid) > tol)
+    delta = np.where(thin, 0.0, delta)
+    if ph.ndim == 0:
+        return Chord(complex(z0), phi, float(delta), complex(D), float(t_lo),
+                     float(t_hi), bool(hits))
+    return Chord(z0, ph, delta, D, t_lo, t_hi, hits)
 
 
 # ----------------------------------------------------------------------

@@ -252,14 +252,22 @@ def test_table_missing_manifest(tmp_path):
 @pytest.mark.parametrize("manifest", [
     '{"command": "search", "domain_fi',
     None,
-], ids=["truncated", "no-params"])
+    {"n": "8", "q": 2},
+    {"n": 8, "q": "2"},
+    {"n": True, "q": 2},
+    {"n": 8, "q": 0.5},
+], ids=["truncated", "no-params", "string-n", "string-q", "bool-n",
+        "small-q"])
 def test_table_malformed_manifest_exits_two(domains, tmp_path, capsys,
                                             manifest):
+    # a string is the raw file; otherwise None (no params) or the params
     run = tmp_path / "run"
     run.mkdir()
-    if manifest is None:
-        manifest = json.dumps({"command": "search",
-                               "domain_file": domains["disk"]})
+    if not isinstance(manifest, str):
+        doc = {"command": "search", "domain_file": domains["disk"]}
+        if manifest is not None:
+            doc["params"] = manifest
+        manifest = json.dumps(doc)
     (run / "manifest.json").write_text(manifest)
     (run / "search.json").write_text(json.dumps({"best_M": 2.0}))
     assert cli.main(["table", str(run / "manifest.json"),

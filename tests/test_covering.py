@@ -68,6 +68,51 @@ def test_good_point_matches_chord_oracle():
         assert good_point_test(K, bp, r, theta) == all(flags)
 
 
+def test_good_point_mask_matches_scalar_loop():
+    rng = np.random.default_rng(SEED + 5)
+    domains = [SQUARE, ConvexDomain.polygon([0j, 3 + 0j, 3 + 1j, 1j]),
+               ConvexDomain.regular_polygon(8), DISK,
+               ConvexDomain.regular_polygon(5)]
+    domains += [random_convex_polygon(rng, int(rng.integers(4, 10)))
+                for _ in range(3)]
+    for K in domains:
+        L = K.perimeter
+        theta = covering_tilt_angle(K)
+        ss = list(rng.uniform(0.0, L, 150))
+        for i in range(len(K.vertices or ())):
+            sv = K.vertex_s(i)
+            # the snap rule at 1e-9 L, and the short-chord zone beside it
+            ss += [sv + f * L for f in (0.0, 5e-10, -5e-10, 1e-9, -1e-9,
+                                        2e-9, -2e-9, 1e-5, -1e-5, 1e-4)]
+        for frac in (0.05, 0.6, 0.999):
+            r = frac * K.width / 108
+            mask = good_point_test(K, K.boundary_point(np.array(ss)), r,
+                                   theta)
+            oracle = []
+            for s in ss:
+                bp = K.boundary_point(s)
+                oracle.append(all(
+                    not c.hits_interior or c.delta >= r
+                    for c in (chord(K, bp.z, bp.sigma + sign * 2 * theta)
+                              for sign in (-1, 1))))
+            assert mask.dtype == bool
+            assert mask.tolist() == oracle, (K, frac)
+
+
+def test_build_covering_batches_its_chords(monkeypatch):
+    # the detection mesh, every bisection level, the short chords and the
+    # verification mesh each take one call per tilt
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return chord(*args, **kwargs)
+
+    monkeypatch.setattr(covering, "chord", counting)
+    assert build_covering(SQUARE, 0.008).k0 == 4
+    assert len(calls) <= 64
+
+
 def test_square_non_good_zone_next_to_corner():
     # short tilted chords exist only within depth ~ r*sin(2*theta) of a
     # corner, far below the uniform mesh spacing

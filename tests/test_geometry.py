@@ -289,6 +289,91 @@ def test_chord_is_a_line_intersection(seed):
     assert a.delta <= K.diameter * (1 + 1e-9)
 
 
+def _bits(x):
+    return np.asarray(x, dtype=complex).tobytes()
+
+
+def loop_chord(K, z0, phi):
+    """Reference: the chord computed point by point on Python floats, edge
+    by edge, returning early on an empty line."""
+    u = complex(math.cos(phi), math.sin(phi))
+    empty = (z0, phi, 0.0, z0, 0.0, 0.0, False)
+    if K.kind == "disk":
+        b = (z0 - K.center).real * u.real + (z0 - K.center).imag * u.imag
+        disc = b * b - (abs(z0 - K.center) ** 2 - K.radius ** 2)
+        if disc <= 0.0:
+            return empty
+        t_lo, t_hi = -b - math.sqrt(disc), -b + math.sqrt(disc)
+    else:
+        t_lo, t_hi = -math.inf, math.inf
+        for a, d in zip(K.vertices, K._edge_dir):
+            c0 = d.real * (z0 - a).imag - d.imag * (z0 - a).real
+            c1 = d.real * u.imag - d.imag * u.real
+            if abs(c1) <= 1e-15:
+                if c0 < -K.tol:
+                    return empty
+                continue
+            if c1 > 0.0:
+                t_lo = max(t_lo, -c0 / c1)
+            else:
+                t_hi = min(t_hi, -c0 / c1)
+        if not (t_hi - t_lo > 0.0) or math.isinf(t_lo) or math.isinf(t_hi):
+            return empty
+    if t_hi - t_lo <= K.tol:
+        return (z0, phi, 0.0, z0, t_lo, t_hi, False)
+    far = t_hi if abs(t_hi) >= abs(t_lo) else t_lo
+    mid = z0 + 0.5 * (t_lo + t_hi) * u
+    return (z0, phi, t_hi - t_lo, z0 + far * u, t_lo, t_hi,
+            bool(K.interior_margin(mid) > K.tol))
+
+
+def test_array_chord_matches_scalar_bit_for_bit():
+    rng = trial_rng(20260818, 11)
+    domains = [ConvexDomain.unit_square(), ConvexDomain.unit_disk(),
+               ConvexDomain.disk(0.3 - 0.2j, 1.7),
+               ConvexDomain.regular_polygon(8)]
+    domains += [random_convex_polygon(rng, vertices=int(rng.integers(3, 10)))
+                for _ in range(4)]
+    for K in domains:
+        # boundary points (vertices included), interior and outside points
+        zs = list(K.gamma(rng.uniform(0.0, K.perimeter, 40)))
+        zs += list(K.vertices or ()) + list(K.sample_uniform(20, rng))
+        zs += [complex(x, y) for x, y in rng.uniform(-4.0, 4.0, (20, 2))]
+        phis = list(rng.uniform(-7.0, 7.0, len(zs)))
+        for d in (K._edge_dir if K.kind == "polygon" else ()):
+            # edge-parallel lines, through every kind of point
+            for z in zs[::5]:
+                zs += [z, z]
+                phis += [math.atan2(d.imag, d.real),
+                         math.atan2(d.imag, d.real) + math.pi]
+        many = chord(K, np.array(zs), np.array(phis))
+        assert many.delta.shape == (len(zs),)
+        fields = ("zeta", "phi", "delta", "D", "t_lo", "t_hi")
+        for i, (z, phi) in enumerate(zip(zs, phis)):
+            one = chord(K, z, phi)
+            ref = loop_chord(K, complex(z), phi)
+            for k, field in enumerate(fields):
+                assert (_bits(getattr(many, field)[i])
+                        == _bits(getattr(one, field))
+                        == _bits(ref[k])), (K, i, field)
+            assert bool(many.hits_interior[i]) is one.hits_interior is ref[6]
+
+
+def test_array_boundary_point_matches_scalar():
+    K = random_convex_polygon(trial_rng(20260818, 12), vertices=7)
+    L = K.perimeter
+    ss = [K.vertex_s(i) + h for i in range(7)
+          for h in (0.0, 0.9e-9 * L, -0.9e-9 * L, 1.1e-9 * L, -1.1e-9 * L)]
+    ss += list(np.linspace(-L, 2 * L, 101)) + [L, -1e-20]
+    many = K.boundary_point(np.array(ss))
+    for i, s in enumerate(ss):
+        one = K.boundary_point(s)
+        assert (many.s[i], many.z[i], many.alpha_minus[i],
+                many.alpha_plus[i]) == (one.s, one.z, one.alpha_minus,
+                                        one.alpha_plus)
+    assert np.array_equal(many.omega > 0, np.isin(many.s, K._cum[:-1]))
+
+
 def test_zero_chord_allowed():
     K = ConvexDomain.unit_square()
     # the line y = -x supports the square at the corner only
