@@ -47,11 +47,18 @@ def _parse_q(text: str) -> float:
     return q
 
 
-def _parse_finite(text: str) -> float:
-    x = float(text)
-    if not math.isfinite(x):
-        raise argparse.ArgumentTypeError("must be a finite number")
-    return x
+def _checked(convert, ok, what: str):
+    """argparse type: convert the text, then require ok(value)."""
+    def parse(text: str):
+        x = convert(text)
+        if not ok(x):
+            raise argparse.ArgumentTypeError(f"must be {what}")
+        return x
+    parse.__name__ = convert.__name__
+    return parse
+
+
+_parse_finite = _checked(float, math.isfinite, "a finite number")
 
 
 class _InputError(Exception):
@@ -200,8 +207,7 @@ def cmd_search(args) -> int:
                               init=args.init)
         result = minimize_oscillation(K, config)
     except ValueError as exc:
-        print(f"invalid search input: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        raise _InputError(f"invalid search input: {exc}") from exc
 
     ceiling = (15.0 / K.diameter) * args.n
     print(f"best_M = {result.best_M:.12g}")
@@ -237,14 +243,12 @@ def cmd_search(args) -> int:
 def cmd_covering(args) -> int:
     K = _load_domain(args.domain)
     if (args.r is None) == (args.n is None):
-        print("covering needs exactly one of --r or --n", file=sys.stderr)
-        return EXIT_INPUT
+        raise _InputError("covering needs exactly one of --r or --n")
     if args.n is not None:
         try:
             r = r_schedule(args.n, K).r
         except ValueError as exc:
-            print(f"invalid degree: {exc}", file=sys.stderr)
-            return EXIT_INPUT
+            raise _InputError(f"invalid degree: {exc}") from exc
         print(f"r(n={args.n}) = {r:.12g}")
     else:
         r = args.r
@@ -281,23 +285,19 @@ def cmd_covering(args) -> int:
 
 def cmd_table(args) -> int:
     if not args.manifests:
-        print("no manifests given", file=sys.stderr)
-        return EXIT_INPUT
+        raise _InputError("no manifests given")
     rows = []
     for man_path in args.manifests:
         path = Path(man_path)
         if not path.is_file():
-            print(f"missing manifest: {man_path}", file=sys.stderr)
-            return EXIT_INPUT
+            raise _InputError(f"missing manifest: {man_path}")
         doc = _read_json(path, f"invalid manifest {man_path}")
         if not isinstance(doc, dict) or doc.get("command") != "search":
-            print(f"not a search manifest: {man_path}", file=sys.stderr)
-            return EXIT_INPUT
+            raise _InputError(f"not a search manifest: {man_path}")
         result_path = path.parent / "search.json"
         if not result_path.is_file():
-            print(f"missing search output next to manifest: {man_path}",
-                  file=sys.stderr)
-            return EXIT_INPUT
+            raise _InputError(
+                f"missing search output next to manifest: {man_path}")
         record = _read_json(result_path,
                             f"invalid search output next to {man_path}")
         K = _load_domain(doc.get("domain_file", ""),
@@ -364,10 +364,12 @@ def build_parser() -> argparse.ArgumentParser:
     a = sub.add_parser("audit", help="run an audit batch")
     a.add_argument("audit_id", choices=AUDIT_IDS)
     a.add_argument("--domain", default=None)
-    a.add_argument("--trials", type=int, default=100)
+    a.add_argument("--trials", default=100,
+                   type=_checked(int, lambda n: n >= 0, "at least 0"))
     a.add_argument("--seed", type=int, default=0)
     a.add_argument("--q", type=_parse_q, default=2.0)
-    a.add_argument("--n", type=int, default=None)
+    a.add_argument("--n", default=None,
+                   type=_checked(int, lambda n: n >= 1, "at least 1"))
     a.add_argument("--out", default=None)
     a.set_defaults(func=cmd_audit)
 
@@ -386,7 +388,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("covering", help="build the boundary covering")
     c.add_argument("--domain", required=True)
-    c.add_argument("--r", type=_parse_finite, default=None)
+    c.add_argument("--r", default=None, type=_checked(
+        float, lambda x: 0 < x < math.inf, "a positive finite number"))
     c.add_argument("--n", type=_parse_finite, default=None)
     c.add_argument("--theta", type=_parse_finite, default=None)
     c.add_argument("--out", default=None)

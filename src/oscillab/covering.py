@@ -2,9 +2,10 @@
 
 A boundary point is "good" when both tilted chords through it are either
 long (length at least r) or leave the domain entirely; at good points the
-tilted-line derivative estimates apply directly.  Non-good points are
-swallowed by short "elementary" arcs whose tangent direction turns by at
-least phi = pi/2 - 2*theta.  A maximal disjoint family of elementary arcs,
+tilted-line derivative estimates apply directly.  Non-good points (exact
+intervals at polygon vertices and edge ends) are swallowed by short
+"elementary" arcs whose tangent direction turns by at least
+phi = pi/2 - 2*theta.  A maximal disjoint family of elementary arcs,
 padded on both sides, yields at most four covered components; the integral
 case split then decides whether the derivative norm is driven by the good
 part of the boundary or by oscillation inside the heaviest component.
@@ -22,7 +23,8 @@ import numpy as np
 
 from .audits import AuditReport, _h_intervals, _in_intervals
 from .errors import CoveringInvalid, FamilyTooLarge, NoCutPoint
-from .geometry import BoundaryPoint, ConvexDomain, chord
+from .geometry import (VERTEX_SNAP_REL, BoundaryPoint, ConvexDomain,
+                       _cross, chord)
 from .polynomials import (
     RootPolynomial,
     _adaptive_log_integral,
@@ -91,9 +93,12 @@ class BoundaryArc:
     def length(self) -> float:
         return self.end_s - self.start_s
 
-    def contains_s(self, s: float, perimeter: float) -> bool:
-        rel = (s - self.start_s) % perimeter
-        return rel <= self.length or rel >= perimeter - 1e-12 * perimeter
+    def covers(self, lo: float, hi: float, perimeter: float) -> bool:
+        """Whether the arc holds the whole interval [lo, hi], hi >= lo."""
+        rel = (lo - self.start_s) % perimeter
+        if rel >= perimeter - 1e-12 * perimeter:
+            rel -= perimeter
+        return rel + (hi - lo) <= self.length
 
     def as_record(self) -> dict:
         return {
@@ -151,64 +156,58 @@ def _elementary_arc(K, s, D, length_bound, phi):
     )
 
 
-def _detection_points(K, r, theta, mesh):
-    """Sample parameters for locating non-good points: a uniform mesh plus
-    multi-scale ladders around every vertex, where short tilted chords can
-    hide at depths far below the mesh spacing."""
-    L = K.perimeter
-    phi = wedge_angle(theta)
-    pts = {float(s) for s in np.linspace(0.0, L, mesh, endpoint=False)}
-    if K.kind == "polygon":
-        for i in range(len(K.vertices)):
-            sv = float(K.vertex_s(i)) % L
-            pts.add(sv)
-            omega = K.vertex_point(i).omega
-            hints = [r * f for f in (1e-3, 1e-2, 0.05, 0.2, 0.5, 1.0, 3.0)]
-            if omega > phi:
-                # depth of the short-chord zone next to a corner whose
-                # turn exceeds the wedge angle
-                depth = r * math.sin(omega - phi) / math.sin(omega)
-                hints += [depth * f for f in (0.05, 0.25, 0.5, 0.75, 0.95)]
-            for h in hints:
-                pts.add((sv + h) % L)
-                pts.add((sv - h) % L)
-    return np.asarray(sorted(pts))
+def _non_good_set(K, r, theta):
+    """The non-good boundary points as arclength intervals (lo, hi): the
+    snap zone of each non-good vertex, and the ends of open polygon edges.
+    There the inner normal is fixed, so a tilted chord leaves through edge
+    k at t_k(s) = -c0_k(s) / c1_k (as in `chord`), affine in the edge
+    offset s: its length min_k t_k(s) is concave, below r on at most one
+    interval at each end.  A disk's tilted chords are 2R cos(2 theta) long.
+    """
+    if K.kind == "disk":
+        if good_point_test(K, K.boundary_point(0.0), r, theta):
+            return ()
+        raise FamilyTooLarge("no point of the disk is good: its tilted "
+                             "chords are all 2R cos(2 theta) < r long")
+    snap = VERTEX_SNAP_REL * K.perimeter
+    cum = np.asarray(K._cum[:-1])
+    end = np.asarray(K._edge_len) - snap
+    e = np.asarray(K._edge_dir)
+    # axes: (tilt sign, edge i of the point, exit edge k)
+    phi = (np.asarray(K._edge_angle) + 0.5 * math.pi
+           + np.array([-1.0, 1.0])[:, None] * 2.0 * theta)[..., None]
+    c0 = _cross(e, np.subtract.outer(K.vertices, K.vertices))  # at s = 0
+    dc0 = _cross(e, e[:, None])                                # d c0 / ds
+    c1 = _cross(e, np.cos(phi) + 1j * np.sin(phi))
+    # t_k(s) < r  <=>  dc0 * s < -r c1 - c0 on the exit edges (c1 < 0)
+    rhs = np.where(c1 < -1e-15, -r * c1 - c0, -math.inf)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        root = rhs / dc0
+    flat = (dc0 == 0.0) & (rhs > 0.0)
+    left = np.where(flat, math.inf, np.where(dc0 > 0.0, root, -math.inf))
+    right = np.where(flat, -math.inf, np.where(dc0 < 0.0, root, math.inf))
+    good = good_point_test(K, K.boundary_point(cum), r, theta)
+    # vertex snap zones, then [snap, left) and (right, end] on each edge
+    lo = np.concatenate([cum - snap, cum + snap,
+                         cum + np.maximum(right.min(axis=(0, 2)), snap)])
+    hi = np.concatenate([np.where(good, -math.inf, cum + snap),
+                         cum + np.minimum(left.max(axis=(0, 2)), end),
+                         cum + end])
+    keep = lo < hi
+    return tuple(sorted(zip(lo[keep].tolist(), hi[keep].tolist())))
 
 
-def elementary_arcs(K: ConvexDomain, r: float, theta: float = None,
-                    mesh: int = 2048) -> tuple:
-    """All distinct elementary arcs found from a detection mesh refined to
-    1e-6 of the perimeter around good/non-good transitions."""
-    if r <= 0:
-        raise ValueError("r must be positive")
+def elementary_arcs(K: ConvexDomain, r: float, theta: float = None) -> tuple:
+    """All distinct elementary arcs of the points one snap width inside
+    both ends of every non-good interval (a vertex, for its snap zone)."""
     theta = covering_tilt_angle(K) if theta is None else theta
     L = K.perimeter
     phi = wedge_angle(theta)
     length_bound = 4.0 * r * K.diameter / K.width
 
-    ss = _detection_points(K, r, theta, mesh)
-    good = good_point_test(K, K.boundary_point(ss), r, theta)
-    bad_params = ss[~good].tolist()
-
-    # localize every transition so arc families do not depend on the mesh:
-    # all brackets are halved together until each is under 1e-6 L
-    resolution = 1e-6 * L
-    i = np.nonzero(good != np.roll(good, -1))[0]
-    a = ss[i]
-    b = np.append(ss, ss[0] + L)[i + 1]
-    good_a = good[i]
-    live = b - a > resolution
-    while live.any():
-        m = 0.5 * (a[live] + b[live])
-        keep_a = good_point_test(K, K.boundary_point(m % L), r,
-                                 theta) == good_a[live]
-        a[live] = np.where(keep_a, m, a[live])
-        b[live] = np.where(keep_a, b[live], m)
-        live = b - a > resolution
-    bad_params += (np.where(good_a, b, a) % L).tolist()
-
-    bad_params.sort()
-    bp = K.boundary_point(np.asarray(bad_params))
+    lo, hi = np.reshape(_non_good_set(K, r, theta), (-1, 2)).T
+    inset = np.minimum(VERTEX_SNAP_REL * L, 0.5 * (hi - lo))
+    bp = K.boundary_point(np.sort(np.concatenate([lo + inset, hi - inset])))
     found, far_ends = _short_chords(K, bp, r, theta)
     arcs = {}
     for s, ok, D in zip(bp.s.tolist(), found.tolist(), far_ends.tolist()):
@@ -239,7 +238,7 @@ def maximal_disjoint_family(arcs, perimeter: float = None) -> tuple:
     if len(chosen) > 4:
         raise FamilyTooLarge(
             f"{len(chosen)} pairwise disjoint short arcs found; at most "
-            "four can exist, so the geometry or the mesh is inconsistent")
+            "four can exist, so the geometry or the tilt is inconsistent")
     for arc in arcs:
         if arc in chosen:
             continue
@@ -301,7 +300,7 @@ class Covering:
         return sum(c.arc.length for c in self.components)
 
     def contains_s(self, s: float) -> bool:
-        return any(c.arc.contains_s(s, self.perimeter)
+        return any(c.arc.covers(s, s, self.perimeter)
                    for c in self.components)
 
     def intervals(self) -> tuple:
@@ -363,12 +362,12 @@ def _shift_into(arc, lo, hi, L):
 
 
 def build_covering(K: ConvexDomain, r: float, theta: float = None,
-                   mesh: int = 2048, verify_mesh: int = 2048) -> Covering:
+                   verify_mesh: int = 2048) -> Covering:
     """Construct and verify the padded covering for chord threshold r.
 
-    Requires 108*r*d/w < d.  Every verification mesh point must be good or
-    inside a component; a failure is a construction bug and raises
-    CoveringInvalid.
+    Requires 108*r*d/w < d.  Each exact non-good interval, and each point of
+    a uniform verification mesh failing the chord test, must lie inside one
+    component; a failure is a construction bug and raises CoveringInvalid.
     """
     theta = covering_tilt_angle(K) if theta is None else theta
     d, w, L = K.diameter, K.width, K.perimeter
@@ -377,7 +376,7 @@ def build_covering(K: ConvexDomain, r: float, theta: float = None,
             f"r={r:.6g} too large for the covering: need 108*r*d/w < d, "
             f"i.e. r < {w / 108.0:.6g}")
 
-    arcs = elementary_arcs(K, r, theta, mesh=mesh)
+    arcs = elementary_arcs(K, r, theta)
     fam = maximal_disjoint_family(arcs, perimeter=L)
     pad = 4.0 * r * d / w
 
@@ -412,18 +411,17 @@ def build_covering(K: ConvexDomain, r: float, theta: float = None,
                 "padded arcs cover the whole boundary; decrease r")
         cut = (at + 0.5 * gap) % L
 
-    cov = Covering(tuple(components), float(r), float(theta), cut, L)
-
-    # verification: good and covered points must tile the whole boundary
-    ver = set(np.linspace(0.0, L, verify_mesh, endpoint=False).tolist())
-    ver.update(_detection_points(K, r, theta, 16).tolist())
-    ver = np.asarray(sorted(ver))
+    # verification: the exact non-good set and the mesh's non-good points
+    ver = np.linspace(0.0, L, verify_mesh, endpoint=False)
     good = good_point_test(K, K.boundary_point(ver), r, theta)
-    exceptions = [s for s in ver[~good].tolist() if not cov.contains_s(s)]
+    pieces = _non_good_set(K, r, theta) + tuple(
+        (s, s) for s in ver[~good].tolist())
+    exceptions = [lo % L for lo, hi in pieces
+                  if not any(c.arc.covers(lo, hi, L) for c in components)]
     if exceptions:
         raise CoveringInvalid(
-            f"{len(exceptions)} boundary points neither good nor covered "
-            f"(first at s={exceptions[0]:.9g})")
+            f"{len(exceptions)} boundary intervals or points neither good "
+            f"nor covered (first at s={min(exceptions):.9g})")
     return Covering(tuple(components), float(r), float(theta), cut, L,
                     checked_points=len(ver))
 
@@ -439,7 +437,7 @@ def max_feasible_r(K: ConvexDomain, theta: float = None,
     for _ in range(iters):
         mid = 0.5 * (lo + hi)
         try:
-            build_covering(K, mid, theta, mesh=512, verify_mesh=256)
+            build_covering(K, mid, theta, verify_mesh=256)
         except (ValueError, NoCutPoint, FamilyTooLarge, CoveringInvalid):
             hi = mid
         else:

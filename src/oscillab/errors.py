@@ -39,8 +39,8 @@ class FamilyTooLarge(OscillabError):
 
     The covering construction proves at most four can exist when the tilt
     angle keeps each short arc turning by more than 2*pi/5. Seeing five or
-    more signals a geometry or mesh bug, or a tilt override outside the
-    valid regime.
+    more, or a disk on which no point is good, signals a geometry bug or a
+    tilt override outside the valid regime.
     """
 
 

@@ -31,6 +31,9 @@ TWO_PI = 2.0 * math.pi
 # absolute tolerance of GEOM_REL_TOL * diameter.
 GEOM_REL_TOL = 1e-12
 
+# Arc parameters within VERTEX_SNAP_REL * perimeter of a vertex snap to it.
+VERTEX_SNAP_REL = 1e-9
+
 # Inequality margins pass at relative tolerance 1e-9 throughout the package.
 MARGIN_REL_TOL = 1e-9
 
@@ -72,20 +75,6 @@ class BoundaryPoint:
     def sigma(self) -> float:
         """Inner normal angle for the default tangent choice."""
         return self.alpha + 0.5 * math.pi
-
-    def supporting_directions(self, count: int) -> list[float]:
-        """Tangent angle choices spread over [alpha_minus, alpha_plus].
-
-        At a smooth point this is just the single tangent direction. At a
-        vertex the directions are spread slightly inside the interval so
-        every returned choice is a genuine supporting line.
-        """
-        if self.omega <= 1e-15 or count <= 1:
-            return [self.alpha]
-        pad = min(1e-6, 0.01 * self.omega)
-        lo = self.alpha_minus + pad
-        hi = self.alpha_plus - pad
-        return [lo + (hi - lo) * i / (count - 1) for i in range(count)]
 
 
 @dataclass(frozen=True)
@@ -164,15 +153,24 @@ class ConvexDomain:
 
     @classmethod
     def from_json(cls, data: dict | str) -> "ConvexDomain":
+        """Domain from its JSON document; ValueError when it is malformed."""
         if isinstance(data, str):
             data = json.loads(data)
+        if not isinstance(data, dict):
+            raise ValueError("domain must be a JSON object")
         kind = data.get("kind")
+        try:
+            if kind == "polygon":
+                verts = [complex(x, y) for x, y in data["vertices"]]
+            elif kind == "disk":
+                cx, cy = data["center"]
+                center, radius = complex(cx, cy), float(data["radius"])
+        except TypeError as exc:
+            raise ValueError(f"malformed {kind} domain: {exc}") from exc
         if kind == "polygon":
-            verts = [complex(x, y) for x, y in data["vertices"]]
             return cls.polygon(verts)
         if kind == "disk":
-            cx, cy = data["center"]
-            return cls.disk(complex(cx, cy), float(data["radius"]))
+            return cls.disk(center, radius)
         raise ValueError(f"unknown domain kind {kind!r}")
 
     def to_json(self) -> dict:
@@ -295,7 +293,7 @@ class ConvexDomain:
             z = self.gamma(s)
             a_minus = a_plus = a
         else:
-            snap = 1e-9 * L
+            snap = VERTEX_SNAP_REL * L
             n = len(self.vertices)
             cum = np.asarray(self._cum)
             i = np.minimum(np.searchsorted(cum, s, side="right") - 1, n - 1)

@@ -410,7 +410,7 @@ def test_c10_covering_family_invariants():
     found = None
     for frac in np.geomspace(1e-6, 0.999, 44):
         r_try = float(frac * r_gate)
-        if elementary_arcs(pentagon, r_try, mesh=4096):
+        if elementary_arcs(pentagon, r_try):
             found = r_try
             break
     phi = wedge_angle(covering_tilt_angle(pentagon))

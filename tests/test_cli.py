@@ -76,6 +76,23 @@ def test_geometry_non_finite_domain_exits_two(doc, tmp_path, capsys):
     assert "finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", [
+    '{"kind": "disk", "center": [0, 0], "radius": null}',
+    '{"kind": "polygon", "vertices": 5}',
+    '[1, 2]',
+    '"x"',
+    '{"kind": "disk", "center": 5, "radius": 1}',
+    '{"kind": "polygon", "vertices": [["a", 1], [1, 0], [1, 1]]}',
+], ids=["null-radius", "int-vertices", "array", "string", "int-center",
+        "string-coordinate"])
+def test_geometry_malformed_domain_exits_two(text, tmp_path, capsys):
+    path = tmp_path / "malformed.json"
+    path.write_text(text)
+    assert cli.main(["geometry", "--domain", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "invalid domain" in err and "Traceback" not in err
+
+
 def test_audit_batch_runs_clean(domains, tmp_path, capsys):
     out = tmp_path / "aud"
     code = cli.main(["audit", "tilted", "--domain", domains["disk"],
@@ -113,6 +130,15 @@ def test_audit_failure_exit_code(domains, monkeypatch):
 def test_audit_unknown_id_rejected(domains):
     with pytest.raises(SystemExit) as exc:
         cli.main(["audit", "nonsense", "--domain", domains["disk"]])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["--n", "0"], ["--n", "-3"], ["--trials", "-1"],
+], ids=["n-zero", "n-negative", "trials-negative"])
+def test_audit_out_of_range_option_exits_two(domains, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["audit", "tilted", "--domain", domains["disk"], *argv])
     assert exc.value.code == 2
 
 
@@ -199,8 +225,9 @@ def test_covering_schedule_degree_exits_five(domains, capsys):
 
 @pytest.mark.parametrize("argv", [
     ["--r", "nan"], ["--n", "nan"], ["--r", "0.008", "--theta", "nan"],
-    ["--r", "inf"], ["--n", "-inf"],
-], ids=["r-nan", "n-nan", "theta-nan", "r-inf", "n-neg-inf"])
+    ["--r", "inf"], ["--n", "-inf"], ["--r", "0"], ["--r", "-0.001"],
+], ids=["r-nan", "n-nan", "theta-nan", "r-inf", "n-neg-inf", "r-zero",
+        "r-negative"])
 def test_covering_non_finite_option_exits_two(domains, argv):
     with pytest.raises(SystemExit) as exc:
         cli.main(["covering", "--domain", domains["square"], *argv])

@@ -100,7 +100,7 @@ def test_good_point_mask_matches_scalar_loop():
 
 
 def test_build_covering_batches_its_chords(monkeypatch):
-    # the detection mesh, every bisection level, the short chords and the
+    # the vertex tests of the exact non-good set, the short chords and the
     # verification mesh each take one call per tilt
     calls = []
 
@@ -123,6 +123,74 @@ def test_square_non_good_zone_next_to_corner():
     outside = SQUARE.boundary_point(1.0 - 20 * depth)
     assert not good_point_test(SQUARE, inside, r, theta)
     assert good_point_test(SQUARE, outside, r, theta)
+
+
+def _chord_sweep_good(K, ss, r, theta):
+    """Oracle: both tilted chords through each boundary point are at least
+    r long or miss the interior."""
+    bp = K.boundary_point(ss)
+    good = np.ones(np.shape(ss), dtype=bool)
+    for sign in (-1, 1):
+        c = chord(K, bp.z, bp.sigma + sign * 2 * theta)
+        good &= ~c.hits_interior | (c.delta >= r)
+    return good
+
+
+def test_exact_non_good_set_matches_chord_sweep():
+    rng = np.random.default_rng(SEED + 6)
+    domains = [SQUARE, ConvexDomain.polygon([0j, 3 + 0j, 3 + 1j, 1j]),
+               ConvexDomain.regular_polygon(8),
+               ConvexDomain.regular_polygon(3),
+               ConvexDomain.regular_polygon(5),
+               # a blunted wedge: the chords from both tip vertices cut
+               # across the short tip edge, so those vertices are non-good
+               ConvexDomain.polygon([-1j, 10 - 0.002j, 10 + 0.002j, 1j])]
+    domains += [random_convex_polygon(rng, int(rng.integers(3, 10)))
+                for _ in range(8)]
+    offsets = np.geomspace(1e-10, 1e-2, 90)
+    beside = np.array([-1e-7, -1e-10, -1e-11, 1e-11, 1e-10, 1e-7])
+    seen_bad = seen_bad_vertices = 0
+    for K in domains:
+        L = K.perimeter
+        theta = covering_tilt_angle(K)
+        verts = np.array([K.vertex_s(i) for i in range(len(K.vertices))])
+        for frac in (0.05, 0.3, 0.999):
+            r = frac * K.width / 108
+            intervals = np.reshape(covering._non_good_set(K, r, theta),
+                                   (-1, 2))
+            ends = intervals.ravel()
+            # uniform points, log-spaced offsets around every vertex (into
+            # its snap zone), and points right beside every interval end
+            ss = np.mod(np.concatenate(
+                [rng.uniform(0.0, L, 3000)]
+                + [v + sg * offsets * L for v in verts for sg in (-1, 1)]
+                + [(ends[:, None] + beside * L).ravel()]), L)
+            oracle_bad = ~_chord_sweep_good(K, ss, r, theta)
+            exact_bad = np.zeros(ss.shape, dtype=bool)
+            for lo, hi in intervals:
+                for x in (ss, ss - L):     # the zone of vertex 0 starts < 0
+                    exact_bad |= (lo <= x) & (x <= hi)
+            miss = ss[oracle_bad != exact_bad]
+            gap = np.abs((miss[:, None] - ends + 0.5 * L) % L - 0.5 * L)
+            assert (gap.min(axis=1, initial=np.inf) <= 1e-12 * L).all(), (
+                K, frac, miss)
+            seen_bad += int(oracle_bad.sum())
+            # a vertex lies in no edge interval, only in its own snap zone
+            vertex_bad = ((intervals[:, 0] <= verts[:, None])
+                          & (verts[:, None] <= intervals[:, 1])).any(axis=1)
+            assert (vertex_bad
+                    == ~_chord_sweep_good(K, verts, r, theta)).all(), K
+            seen_bad_vertices += int(vertex_bad.sum())
+    assert seen_bad > 0 and seen_bad_vertices > 0
+
+
+def test_disk_with_no_good_point_raises_family_too_large():
+    # at theta = 0.783 every tilted chord is 2 cos(1.566) ~ 0.0096 long,
+    # under r = 0.9 w/108 ~ 0.0167, so no point of the circle is good
+    r = 0.9 * DISK.width / 108
+    assert not good_point_test(DISK, DISK.boundary_point(1.0), r, 0.783)
+    with pytest.raises(FamilyTooLarge):
+        build_covering(DISK, r, 0.783)
 
 
 def test_elementary_arcs_disk_empty():

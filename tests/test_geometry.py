@@ -165,6 +165,16 @@ def test_domain_json_rejects_non_finite():
     with pytest.raises(ValueError, match="finite"):
         ConvexDomain.from_json('{"kind": "disk", "center": [0, 0], '
                                '"radius": Infinity}')
+    # malformed documents are a ValueError too, not a TypeError or an
+    # AttributeError from deep inside the parser
+    for doc in ('{"kind": "disk", "center": [0, 0], "radius": null}',
+                '{"kind": "polygon", "vertices": 5}',
+                '[1, 2]',
+                '"x"',
+                '{"kind": "disk", "center": 5, "radius": 1}',
+                '{"kind": "polygon", "vertices": [["a", 1], [1, 0], [1, 1]]}'):
+        with pytest.raises(ValueError):
+            ConvexDomain.from_json(doc)
 
 
 def test_domain_json_roundtrip():
