@@ -28,7 +28,6 @@ from .geometry import (
     angle_diam_arc_bounds,
     chord,
     tilted_side_classification,
-    transfinite_diameter_estimate,
     triangle_containment_check,
 )
 

@@ -294,12 +294,13 @@ def chebyshev_floor_check(J_length: float, k: int, trials: int = 20,
 
 def transfinite_floor_audit(p: RootPolynomial, K: ConvexDomain
                             ) -> AuditReport:
-    """Monic polynomials with all roots in K have sup norm at least
-    (d/4)^n."""
+    """Monic polynomials have sup norm at least cap(K)^n on K
+    (Fekete-Szego); the floor is lo^n, lo the lower end of the bracket of
+    K.capacity()."""
     if p.lead != 1:
         raise ValueError("audit requires a monic polynomial")
     log_lhs = sup_norm(p, K).log_value
-    log_rhs = p.n * math.log(K.diameter / 4.0)
+    log_rhs = p.n * math.log(K.capacity()[1])
     return AuditReport("transfinite", log_lhs, log_rhs,
                        detail={"scale": "log", "n": p.n})
 
@@ -800,12 +801,17 @@ def _pick_h_point(p, K, q, rng, log_sup):
 def audit_trial(audit_id: str, trial: int, seed: int,
                 params: dict = None) -> list:
     """One deterministic batch trial; the rng depends only on (seed,
-    trial)."""
+    trial). ValueError unless n is None or an int >= 1, and when chebyshev,
+    which draws its own segment and degree, is given n or a domain."""
     params = dict(params or {})
     rng = trial_rng(seed, trial)
     q = params.get("q", 2.0)
     n = params.get("n")
     dom = params.get("domain")
+    if n is not None and (type(n) is not int or n < 1):
+        raise ValueError(f"n must be an integer >= 1, got {n!r}")
+    if audit_id == "chebyshev" and (n is not None or dom is not None):
+        raise ValueError("chebyshev takes no n and no domain")
 
     if audit_id == "nikolskii":
         K = dom or random_domain(rng)

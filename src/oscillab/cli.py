@@ -21,7 +21,7 @@ from . import __version__
 from .audits import AUDIT_IDS, run_batch
 from .covering import build_covering, max_feasible_r, r_schedule
 from .errors import CoveringInvalid, FamilyTooLarge, NoCutPoint
-from .geometry import ConvexDomain, transfinite_diameter_estimate
+from .geometry import ConvexDomain
 from .search import (
     SearchConfig,
     minimize_oscillation,
@@ -35,7 +35,7 @@ EXIT_AUDIT = 3
 EXIT_SEARCH = 4
 EXIT_COVERING = 5
 
-_FORMAT_VERSION = "1"
+_FORMAT_VERSION = "2"
 
 
 def _parse_q(text: str) -> float:
@@ -69,7 +69,7 @@ def _load_domain(path: str, label: str = "invalid domain") -> ConvexDomain:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return ConvexDomain.from_json(fh.read())
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError) as exc:
         raise _InputError(f"{label}: {exc}") from exc
 
 
@@ -78,6 +78,13 @@ def _read_json(path: Path, label: str):
         return json.loads(path.read_text(encoding="utf-8"))
     except (OSError, ValueError) as exc:
         raise _InputError(f"{label}: {exc}") from exc
+
+
+def _dumps(obj, **kwargs) -> str:
+    """Strict JSON, keys sorted: +-inf as "inf"/"-inf" and NaN as null."""
+    tree = json.loads(json.dumps(obj), parse_constant={
+        "Infinity": "inf", "-Infinity": "-inf", "NaN": None}.get)
+    return json.dumps(tree, allow_nan=False, sort_keys=True, **kwargs)
 
 
 def _manifest(command: str, domain_file: str, params: dict,
@@ -89,18 +96,16 @@ def _manifest(command: str, domain_file: str, params: dict,
         "outputs": outputs,
         "versions": {"tool": __version__, "format": _FORMAT_VERSION},
     }
-    blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    blob = _dumps(doc, separators=(",", ":"))
     return doc, hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
 
 def _write_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n",
-                    encoding="utf-8")
+    path.write_text(_dumps(obj, indent=2) + "\n", encoding="utf-8")
 
 
 def _write_jsonl(path: Path, records) -> None:
-    lines = [json.dumps(rec, sort_keys=True, separators=(",", ":"))
-             for rec in records]
+    lines = [_dumps(rec, separators=(",", ":")) for rec in records]
     path.write_text("\n".join(lines) + ("\n" if lines else ""),
                     encoding="utf-8")
 
@@ -123,15 +128,15 @@ def _out_dir(args) -> Path:
 
 def cmd_geometry(args) -> int:
     K = _load_domain(args.domain)
-    est = transfinite_diameter_estimate(K, m=10)
+    cap, lo, hi = K.capacity()
     report = {
         "kind": K.kind,
         "diameter": K.diameter,
         "width": K.width,
         "perimeter": K.perimeter,
         "depth": K.depth(),
-        "transfinite_bracket": [est.lower, est.upper],
-        "fekete_estimate": est.fekete_estimate,
+        "capacity": cap,
+        "capacity_bracket": [lo, hi],
     }
     if K.kind == "polygon":
         report["vertex_turns"] = [K.vertex_point(i).omega
@@ -143,14 +148,12 @@ def cmd_geometry(args) -> int:
     print(f"width          {report['width']:.12g}")
     print(f"perimeter      {report['perimeter']:.12g}")
     print(f"depth          {report['depth']:.12g}")
-    print(f"transfinite in [{est.lower:.12g}, {est.upper:.12g}] "
-          f"(fekete m=10: {est.fekete_estimate:.12g})")
+    print(f"capacity       {cap:.12g} in [{lo:.12g}, {hi:.12g}]")
     for i, om in enumerate(report["vertex_turns"]):
         print(f"vertex {i}: turn {om:.12g}")
     if args.out is not None:
         out = _out_dir(args)
-        params = {"m": 10}
-        doc, h = _manifest("geometry", args.domain, params,
+        doc, h = _manifest("geometry", args.domain, {},
                            ["geometry.json"])
         report["manifest_hash"] = h
         _write_json(out / "geometry.json", report)
@@ -166,7 +169,11 @@ def cmd_audit(args) -> int:
     run_params = dict(params)
     if K is not None:
         run_params["domain"] = K
-    reports = run_batch(args.audit_id, args.trials, args.seed, run_params)
+    try:
+        reports = run_batch(args.audit_id, args.trials, args.seed,
+                            run_params)
+    except ValueError as exc:
+        raise _InputError(f"invalid audit input: {exc}") from exc
 
     n_pass = sum(1 for r in reports if r.applicable and r.passed)
     n_fail = sum(1 for r in reports if r.applicable and not r.passed)
@@ -192,7 +199,7 @@ def cmd_audit(args) -> int:
         _write_json(out / "audit_summary.json", {
             "audit_id": args.audit_id, "pass": n_pass, "fail": n_fail,
             "na": n_na,
-            "worst_margin": None if math.isnan(worst) else worst,
+            "worst_margin": worst,
             "manifest_hash": h,
         })
         _write_json(out / "manifest.json", doc)
@@ -308,6 +315,8 @@ def cmd_table(args) -> int:
         except (KeyError, TypeError) as exc:
             raise _InputError(f"invalid search manifest {man_path}: "
                               f"bad or missing field ({exc!r})") from exc
+        if q == "inf":
+            q = math.inf
         if not (type(n) is int
                 and type(q) in (int, float) and q >= 1):
             raise _InputError(f"invalid search manifest {man_path}: need an "

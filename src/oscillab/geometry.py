@@ -9,8 +9,8 @@ The module computes the classical size quantities of a convex body (diameter,
 minimal width, perimeter, depth), chords of lines through boundary points,
 tangent direction intervals, and a handful of quantitative facts about how a
 short boundary chord cuts the domain (triangle containment, angle and arc
-bounds, which side of a tilted chord is the small one). It also estimates the
-transfinite diameter by optimizing point configurations on the boundary.
+bounds, which side of a tilted chord is the small one), and the logarithmic
+capacity (transfinite diameter) from one solve of Symm's integral equation.
 """
 
 from __future__ import annotations
@@ -45,6 +45,22 @@ def _cross(a: complex, b: complex) -> float:
 def margin_tol(lhs: float, rhs: float) -> float:
     """Tolerance for the inequality lhs >= rhs: 1e-9 * (|lhs| + |rhs|)."""
     return MARGIN_REL_TOL * (abs(lhs) + abs(rhs))
+
+
+def _json_number(x, what: str) -> float:
+    """A JSON number as a float; ValueError for any other JSON value."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise ValueError(f"malformed domain: {what} is not a number")
+    try:
+        return float(x)
+    except OverflowError as exc:
+        raise ValueError(f"malformed domain: {what} is too large") from exc
+
+
+def _json_point(p, what: str) -> complex:
+    if not (isinstance(p, list) and len(p) == 2):
+        raise ValueError(f"malformed domain: {what} is not an [x, y] pair")
+    return complex(_json_number(p[0], what), _json_number(p[1], what))
 
 
 @dataclass(frozen=True)
@@ -159,18 +175,14 @@ class ConvexDomain:
         if not isinstance(data, dict):
             raise ValueError("domain must be a JSON object")
         kind = data.get("kind")
-        try:
-            if kind == "polygon":
-                verts = [complex(x, y) for x, y in data["vertices"]]
-            elif kind == "disk":
-                cx, cy = data["center"]
-                center, radius = complex(cx, cy), float(data["radius"])
-        except TypeError as exc:
-            raise ValueError(f"malformed {kind} domain: {exc}") from exc
         if kind == "polygon":
-            return cls.polygon(verts)
+            verts = data.get("vertices")
+            if not isinstance(verts, list):
+                raise ValueError("malformed domain: vertices is not a list")
+            return cls.polygon([_json_point(v, "vertex") for v in verts])
         if kind == "disk":
-            return cls.disk(center, radius)
+            return cls.disk(_json_point(data.get("center"), "center"),
+                            _json_number(data.get("radius"), "radius"))
         raise ValueError(f"unknown domain kind {kind!r}")
 
     def to_json(self) -> dict:
@@ -187,7 +199,10 @@ class ConvexDomain:
     def _init_polygon(self) -> None:
         vs = self.vertices
         n = len(vs)
-        scale = max(abs(a - b) for a in vs for b in vs)
+        try:
+            scale = max(abs(a - b) for a in vs for b in vs)
+        except OverflowError as exc:
+            raise ValueError("polygon vertices lie too far apart") from exc
         if scale <= 0:
             raise ValueError("polygon vertices coincide")
         area2 = sum(_cross(vs[i], vs[(i + 1) % n]) for i in range(n))
@@ -222,19 +237,21 @@ class ConvexDomain:
         turns[0] = TWO_PI - sum(turns[1:])
         self._edge_angle = base
         self._turn = turns
-        self.diameter = max(abs(a - b) for a in vs for b in vs)
+        self.diameter = scale
         # minimal width is attained flush to an edge: distance of the
         # farthest vertex from each edge line, minimized over edges
         widths = [max(_cross(self._edge_dir[i], v - vs[i]) for v in vs)
                   for i in range(n)]
         self.width = min(widths)
         self._depth = None
+        self._capacity = None
 
     def _init_disk(self) -> None:
         self.perimeter = TWO_PI * self.radius
         self.diameter = 2.0 * self.radius
         self.width = 2.0 * self.radius
         self._depth = 2.0 * self.radius
+        self._capacity = (self.radius,) * 3
 
     # short aliases used in formulas
     @property
@@ -425,6 +442,24 @@ class ConvexDomain:
         chords = chord(self, np.repeat(self.vertices, 2), sigmas)
         self._depth = max(float(np.min(chords.delta)), 0.0)
         return self._depth
+
+    def capacity(self) -> tuple[float, float, float]:
+        """(cap, lo, hi): the logarithmic capacity (transfinite diameter)
+        and a bracket around it; (R, R, R) on a disk. On a polygon cap = e^V
+        (`_symm_solve`), and lo, hi are sampled extremes of the potential of
+        sigma^+ ds / int sigma^+ ds: estimates, not certified bounds."""
+        if self._capacity is None:
+            # translation invariant; near 0 the panel ends keep their digits
+            verts = np.asarray(self.vertices) - self.vertices[0]
+            a, b, sigma, V = _symm_solve(verts)
+            mu = np.maximum(sigma, 0.0)
+            mu /= mu @ np.abs(b - a)
+            # the potential peaks at vertices and dips near quarter points
+            scan = np.concatenate([a + f * (b - a) for f in (0, 0.25, 0.75)])
+            pot = _panel_log_integrals(verts, scan) @ mu
+            self._capacity = (math.exp(V), math.exp(pot.min()),
+                              math.exp(pot.max()))
+        return self._capacity
 
     def _edge_angle_raw(self, i: int) -> float:
         d = self._edge_dir[i]
@@ -783,81 +818,44 @@ def tilted_side_classification(K: ConvexDomain, zeta: BoundaryPoint,
 
 
 # ----------------------------------------------------------------------
-# transfinite diameter
+# logarithmic capacity
 
 
-@dataclass(frozen=True)
-class TransfiniteEstimate:
-    m: int
-    fekete_estimate: float
-    lower: float
-    upper: float
-    points_s: tuple[float, ...]
+# Panels per polygon edge in Symm's equation, their ends graded toward both
+# vertices, where the equilibrium density is singular: the fractions
+# (1 + sign(u) (1 - (1 - |u|)^3)) / 2 of the edge for u equispaced in [-1, 1].
+CAPACITY_PANELS = 32
+_U = np.linspace(-1.0, 1.0, CAPACITY_PANELS + 1)
+_PANEL_ENDS = 0.5 * (1.0 + np.sign(_U) * (1.0 - (1.0 - np.abs(_U)) ** 3))
 
 
-def transfinite_diameter_estimate(K: ConvexDomain, m: int,
-                                  restarts: int = 3) -> TransfiniteEstimate:
-    """Estimate the transfinite diameter by a Fekete point configuration.
-
-    Maximizes the geometric mean of pairwise distances of m boundary points
-    over arc parameters, by cyclic coordinate pattern search from equally
-    spaced starts. The reported estimate is the m-point geometric mean at
-    the best configuration found; it decreases toward the transfinite
-    diameter as m grows and always sits above it. The bracket [d/4, d/2]
-    holds for the limit; finite-m estimates can exceed d/2 for small m.
-    """
-    if m < 2:
-        raise ValueError("need at least 2 points")
-    L = K.perimeter
-    best_val = -math.inf
-    best_s: np.ndarray | None = None
-    offsets = [0.0, L / (2 * m), L * 0.381966 / m][:max(1, restarts)]
-    for off in offsets:
-        s = (np.arange(m) * L / m + off) % L
-        val, s = _fekete_pattern_search(K, s)
-        if val > best_val:
-            best_val, best_s = val, s
-    pairs = m * (m - 1) / 2
-    est = math.exp(best_val / pairs)
-    return TransfiniteEstimate(m, est, K.diameter / 4.0, K.diameter / 2.0,
-                               tuple(float(x) for x in best_s))
+def _panel_log_integrals(verts: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """int log|z_i - w| ds(w) over every panel of the polygon with vertex
+    array verts, shape (len(z), panels). With z - v_e = (x + iy) e^{i theta_e}
+    in the frame of edge e, of length l_e, the integral over its part
+    [f l_e, g l_e] is F(x - f l_e) - F(x - g l_e), where
+    F(s) = s log|s + iy| - s + |y| atan(s/|y|)."""
+    edges = np.roll(verts, -1) - verts
+    rel = (z[:, None] - verts) * np.conj(edges) / np.abs(edges)
+    y = np.abs(rel.imag)[..., None]
+    s = rel.real[..., None] - np.abs(edges)[:, None] * _PANEL_ENDS
+    # s log|s + iy| is 0 at s = 0, also where y = 0 (z at a panel end)
+    F = s * np.log(np.hypot(s, y), out=np.zeros_like(s), where=s != 0) \
+        - s + y * np.arctan2(s, y)
+    return (F[..., :-1] - F[..., 1:]).reshape(len(z), -1)
 
 
-def _fekete_pattern_search(K: ConvexDomain, s: np.ndarray
-                           ) -> tuple[float, np.ndarray]:
-    L = K.perimeter
-    m = len(s)
-    z = np.asarray(K.gamma(s))
-
-    def pairlog(zz: np.ndarray) -> float:
-        dif = np.abs(zz[:, None] - zz[None, :])
-        iu = np.triu_indices(m, 1)
-        vals = dif[iu]
-        if np.any(vals <= 0.0):
-            return -math.inf
-        return float(np.log(vals).sum())
-
-    def row_contrib(zz: np.ndarray, i: int, zi: complex) -> float:
-        dist = np.abs(np.delete(zz, i) - zi)
-        if np.any(dist <= 0.0):
-            return -math.inf
-        return float(np.log(dist).sum())
-
-    total = pairlog(z)
-    h = L / (2.0 * m)
-    while h > 1e-9 * L:
-        improved = False
-        for i in range(m):
-            cur = row_contrib(z, i, z[i])
-            for cand_s in ((s[i] + h) % L, (s[i] - h) % L):
-                zi = K.gamma(cand_s)
-                new = row_contrib(z, i, zi)
-                if new > cur + 1e-15:
-                    total += new - cur
-                    s[i] = cand_s
-                    z[i] = zi
-                    cur = new
-                    improved = True
-        if not improved:
-            h *= 0.5
-    return pairlog(z), s
+def _symm_solve(verts: np.ndarray):
+    """Symm's equation on the polygon with vertex array verts, by one dense
+    bordered solve: the panel starts a and ends b, the density sigma
+    (constant per panel) and V with int log|z - w| sigma(w) ds(w) = V at
+    every panel midpoint z and int sigma ds = 1."""
+    ends = verts[:, None] + _PANEL_ENDS * (np.roll(verts, -1) - verts)[:, None]
+    a, b = ends[:, :-1].ravel(), ends[:, 1:].ravel()
+    m = len(a)
+    system = np.zeros((m + 1, m + 1))
+    system[:m, :m] = _panel_log_integrals(verts, 0.5 * (a + b))
+    system[:m, m] = -1.0
+    system[m, :m] = np.abs(b - a)
+    sol = np.linalg.solve(system, np.append(np.zeros(m), 1.0))
+    return a, b, sol[:m], float(sol[m])

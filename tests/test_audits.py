@@ -285,15 +285,19 @@ def test_transfinite_monomial_on_disk():
     p = RootPolynomial(1.0, [0j] * 6)
     rep = transfinite_floor_audit(p, DISK)
     assert rep.lhs == pytest.approx(0.0, abs=1e-9)
-    assert rep.rhs == pytest.approx(-6 * math.log(2.0), rel=1e-12)
+    # cap = 1 on the unit disk, and z^6 attains the floor
+    assert rep.rhs == 0.0
     assert rep.passed
 
 
 def test_transfinite_square_corner_polynomial():
     p = RootPolynomial(1.0, [0j, 1 + 0j, 1 + 1j, 1j])
     rep = transfinite_floor_audit(p, SQUARE)
-    assert rep.rhs == pytest.approx(4 * math.log(math.sqrt(2.0) / 4.0),
-                                    rel=1e-12)
+    lo = SQUARE.capacity()[1]
+    assert rep.rhs == pytest.approx(4 * math.log(lo), rel=1e-12)
+    # lo ~ cap = Gamma(1/4)^2 / (4 pi^(3/2)), well above d/4
+    assert rep.rhs == pytest.approx(-2.11, abs=0.01)
+    assert rep.rhs > 4 * math.log(math.sqrt(2.0) / 4.0) + 2.0
     assert rep.passed
 
 
@@ -712,6 +716,20 @@ def test_run_batch_rejects_unknown_id():
     with pytest.raises(ValueError):
         run_batch("nonsense", 2, SEED)
     assert "tilted" in AUDIT_IDS
+
+
+@pytest.mark.parametrize("audit_id, params", [
+    ("infnorm", {"n": 0}),
+    ("infnorm", {"n": 2.5}),
+    ("transfinite", {"n": True}),
+    ("nikolskii", {"n": "3"}),
+    ("chebyshev", {"n": 3}),
+    ("chebyshev", {"domain": SQUARE}),
+], ids=["zero", "float", "bool", "string", "chebyshev-n", "chebyshev-domain"])
+def test_run_batch_rejects_bad_params(audit_id, params):
+    # n = 0 is an error, not a request for a random degree
+    with pytest.raises(ValueError):
+        run_batch(audit_id, 3, 1, params)
 
 
 def test_report_records_carry_trial_index():

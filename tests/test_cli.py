@@ -2,8 +2,11 @@
 
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from oscillab import cli
 from oscillab.audits import AuditReport
@@ -31,6 +34,13 @@ def domains(tmp_path):
     return paths
 
 
+def _strict_json(text):
+    """json.loads that refuses the non-standard NaN and Infinity tokens."""
+    def refuse(token):
+        raise ValueError(f"non-standard JSON token {token}")
+    return json.loads(text, parse_constant=refuse)
+
+
 def test_geometry_square(domains, tmp_path, capsys):
     out = tmp_path / "geo"
     code = cli.main(["geometry", "--domain", domains["square"],
@@ -38,13 +48,25 @@ def test_geometry_square(domains, tmp_path, capsys):
     assert code == 0
     text = capsys.readouterr().out
     assert "diameter" in text and "1.41421356237" in text
-    report = json.loads((out / "geometry.json").read_text())
+    assert "capacity       0.5901" in text
+    report = _strict_json((out / "geometry.json").read_text())
     assert report["width"] == pytest.approx(1.0)
     assert report["depth"] == pytest.approx(1.0)
     assert report["vertex_turns"] == pytest.approx([math.pi / 2] * 4)
+    exact = math.gamma(0.25) ** 2 / (4 * math.pi ** 1.5)
+    lo, hi = report["capacity_bracket"]
+    assert lo <= report["capacity"] <= hi and lo <= exact <= hi
+    assert report["capacity"] == pytest.approx(exact, rel=1e-4)
+    assert "transfinite_bracket" not in report
     assert report["manifest_hash"]
-    man = json.loads((out / "manifest.json").read_text())
+    man = _strict_json((out / "manifest.json").read_text())
     assert man["command"] == "geometry"
+    assert man["params"] == {} and man["versions"]["format"] == "2"
+    again = tmp_path / "geo2"
+    assert cli.main(["geometry", "--domain", domains["square"],
+                     "--out", str(again)]) == 0
+    for name in ("geometry.json", "manifest.json"):
+        assert (out / name).read_bytes() == (again / name).read_bytes()
 
 
 def test_geometry_disk_values(domains, tmp_path):
@@ -55,6 +77,8 @@ def test_geometry_disk_values(domains, tmp_path):
     assert report["diameter"] == pytest.approx(2.0)
     assert report["width"] == pytest.approx(2.0)
     assert report["depth"] == pytest.approx(2.0)
+    assert report["capacity"] == 1.0
+    assert report["capacity_bracket"] == [1.0, 1.0]
     assert report["vertex_turns"] == []
 
 
@@ -83,14 +107,60 @@ def test_geometry_non_finite_domain_exits_two(doc, tmp_path, capsys):
     '"x"',
     '{"kind": "disk", "center": 5, "radius": 1}',
     '{"kind": "polygon", "vertices": [["a", 1], [1, 0], [1, 1]]}',
+    '{"kind": "disk", "center": [true, false], "radius": 2}',
+    '{"kind": "disk", "center": [0, 0], "radius": "2"}',
+    '{"kind": "polygon", "vertices": [[true, 0], [1, 0], [0, 1]]}',
+    '{"kind": "disk", "center": [0, 0], "radius": 1%s}' % ("0" * 400),
+    '{"kind": "polygon"}',
 ], ids=["null-radius", "int-vertices", "array", "string", "int-center",
-        "string-coordinate"])
+        "string-coordinate", "bool-center", "string-radius", "bool-vertex",
+        "huge-int-radius", "no-vertices"])
 def test_geometry_malformed_domain_exits_two(text, tmp_path, capsys):
     path = tmp_path / "malformed.json"
     path.write_text(text)
     assert cli.main(["geometry", "--domain", str(path)]) == 2
     err = capsys.readouterr().err
     assert "invalid domain" in err and "Traceback" not in err
+
+
+_JUNK = st.one_of(st.booleans(), st.none(), st.text(max_size=3),
+                 st.sampled_from([10 ** 400, -10 ** 400]))
+_NUMBER = st.one_of(st.integers(-3, 3), st.floats(), _JUNK)
+_POINT = st.one_of(st.lists(_NUMBER, min_size=2, max_size=2),
+                   st.lists(st.lists(_NUMBER, max_size=2), max_size=3), _JUNK)
+_COORD = st.one_of(st.integers(-3, 3), st.floats())
+_DOMAIN_DOCS = st.one_of(
+    st.fixed_dictionaries({"kind": st.just("polygon"), "vertices": st.lists(
+        st.lists(_COORD, min_size=2, max_size=2), min_size=3, max_size=5)}),
+    st.fixed_dictionaries({"kind": st.just("disk"), "radius": _COORD,
+                           "center": st.lists(_COORD, min_size=2,
+                                              max_size=2)}),
+    st.fixed_dictionaries({}, optional={
+        "kind": st.one_of(st.sampled_from(["polygon", "disk"]), _JUNK),
+        "vertices": st.one_of(st.lists(_POINT, max_size=6), _JUNK),
+        "center": _POINT,
+        "radius": _NUMBER,
+    }),
+    st.lists(_NUMBER, max_size=2), _JUNK)
+
+
+@given(doc=_DOMAIN_DOCS)
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_geometry_fuzzed_domain_exits_zero_or_two(doc, tmp_path):
+    text = json.dumps(doc)
+    try:
+        K = ConvexDomain.from_json(text)
+    except ValueError:
+        K = None
+    # a fresh directory per example: overwriting files can be slow
+    run = Path(tempfile.mkdtemp(dir=tmp_path))
+    (run / "domain.json").write_text(text)
+    code = cli.main(["geometry", "--domain", str(run / "domain.json"),
+                     "--out", str(run / "geo")])
+    assert code == (2 if K is None else 0)
+    if code == 0:
+        _strict_json((run / "geo" / "geometry.json").read_text())
 
 
 def test_audit_batch_runs_clean(domains, tmp_path, capsys):
@@ -125,6 +195,22 @@ def test_audit_failure_exit_code(domains, monkeypatch):
     code = cli.main(["audit", "tilted", "--domain", domains["disk"],
                      "--trials", "1"])
     assert code == 3
+
+
+@pytest.mark.parametrize("argv", [
+    ["--n", "3"], ["--domain", "square"],
+], ids=["n", "domain"])
+def test_audit_chebyshev_rejects_n_and_domain(domains, tmp_path, capsys,
+                                              argv):
+    # chebyshev draws its own segment and degree, so both options are input
+    # errors and nothing is written
+    argv = [domains.get(a, a) for a in argv]
+    out = tmp_path / "cheb"
+    code = cli.main(["audit", "chebyshev", "--trials", "2", *argv,
+                     "--out", str(out)])
+    assert code == 2
+    assert "chebyshev" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_audit_unknown_id_rejected(domains):
@@ -192,8 +278,15 @@ def test_search_inf_q(domains, tmp_path):
                      "--q", "inf", "--budget", "300", "--seed", "2",
                      "--out", str(out)])
     assert code == 0
-    record = json.loads((out / "search.json").read_text())
-    assert record["config"]["q"] == math.inf or record["config"]["q"] is None
+    record = _strict_json((out / "search.json").read_text())
+    assert record["config"]["q"] == "inf"
+    man = _strict_json((out / "manifest.json").read_text())
+    assert man["params"]["q"] == "inf"
+    tab = tmp_path / "tab"
+    assert cli.main(["table", str(out / "manifest.json"),
+                     "--out", str(tab)]) == 0
+    row = (tab / "table.csv").read_text().splitlines()[2].split(",")
+    assert row[2] == "inf"
 
 
 def test_covering_square(domains, tmp_path, capsys):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oscillab import geometry
 from oscillab.errors import DegenerateTangent
 from oscillab.geometry import (
     BoundaryPoint,
@@ -19,7 +20,6 @@ from oscillab.geometry import (
     polygon_diameter,
     sample_polygon_uniform,
     tilted_side_classification,
-    transfinite_diameter_estimate,
     triangle_containment_check,
 )
 from oscillab.sampling import random_convex_polygon, trial_rng
@@ -172,7 +172,14 @@ def test_domain_json_rejects_non_finite():
                 '[1, 2]',
                 '"x"',
                 '{"kind": "disk", "center": 5, "radius": 1}',
-                '{"kind": "polygon", "vertices": [["a", 1], [1, 0], [1, 1]]}'):
+                '{"kind": "polygon", "vertices": [["a", 1], [1, 0], [1, 1]]}',
+                '{"kind": "disk", "center": [true, false], "radius": 2}',
+                '{"kind": "disk", "center": [0, 0], "radius": "2"}',
+                '{"kind": "polygon", "vertices": [[true, 0], [1, 0], [0, 1]]}',
+                '{"kind": "disk", "center": [0, 0], "radius": 1%s}' % ("0" * 400),
+                '{"kind": "polygon"}',
+                '{"kind": "polygon", "vertices": [[0, 0], [1, 0], '
+                '[1.2711610061536462e308, 1.2711610061536464e308]]}'):
         with pytest.raises(ValueError):
             ConvexDomain.from_json(doc)
 
@@ -546,40 +553,64 @@ def test_tilted_side_sampling_oracle():
     assert checked > 80
 
 
-# ------------------------------------------------ transfinite diameter
+# ------------------------------------------------ capacity
 
-def test_transfinite_disk_converges_to_radius():
-    K = ConvexDomain.unit_disk()
-    est = transfinite_diameter_estimate(K, 40, restarts=1)
-    # equispaced points are optimal on a circle; estimate R * m^(1/(m-1))
-    assert est.fekete_estimate == pytest.approx(40 ** (1 / 39), rel=1e-6)
-    assert est.fekete_estimate > 1.0
+def _regular_polygon_capacity(m, a):
+    """Closed form for the regular m-gon of side a."""
+    return (a * math.gamma(1 / m)
+            / (2 ** (1 + 2 / m) * math.sqrt(math.pi) * math.gamma(0.5 + 1 / m)))
 
 
-def test_transfinite_square_bracket():
+@pytest.mark.parametrize("K, exact", [
+    (ConvexDomain.disk(1 + 2j, 0.7), 0.7),
+    (ConvexDomain.unit_square(), math.gamma(0.25) ** 2 / (4 * math.pi ** 1.5)),
+    (ConvexDomain.regular_polygon(3), _regular_polygon_capacity(
+        3, 2 * math.sin(math.pi / 3))),
+    (ConvexDomain.regular_polygon(8), _regular_polygon_capacity(
+        8, 2 * math.sin(math.pi / 8))),
+], ids=["disk", "square", "triangle", "octagon"])
+def test_capacity_closed_form_oracles(K, exact):
+    cap, lo, hi = K.capacity()
+    assert cap == pytest.approx(exact, rel=1e-4)
+    assert lo <= exact <= hi
+    if K.kind == "disk":
+        assert (cap, lo, hi) == (0.7, 0.7, 0.7)
+
+
+def test_capacity_random_polygons_bracket():
+    for trial in range(120):
+        rng = trial_rng(20260818, 1000 + trial)
+        K = random_convex_polygon(rng, vertices=int(rng.integers(3, 10)))
+        sigma = geometry._symm_solve(np.asarray(K.vertices))[2]
+        cap, lo, hi = K.capacity()
+        d = K.diameter
+        assert sigma.min() > 0, (trial, K.to_json())
+        assert d / 4 <= lo <= cap <= hi <= d / 2, (trial, K.to_json())
+
+
+def test_capacity_thin_rectangle_above_quarter_diameter():
+    # the 1 x 0.01 rectangle is nearly the unit segment, of capacity 1/4
+    K = ConvexDomain.polygon([0j, 1 + 0j, 1 + 0.01j, 0.01j])
+    cap, lo, hi = K.capacity()
+    assert K.diameter / 4 <= lo <= cap <= hi
+
+
+def test_capacity_translation_invariant():
+    # far from 0 the panel ends next to a vertex would round together
+    K = ConvexDomain.regular_polygon(3)
+    far = ConvexDomain.polygon([v + 1e15 for v in K.vertices])
+    assert far.capacity() == pytest.approx(K.capacity(), rel=1e-9)
+
+
+def test_capacity_solves_once(monkeypatch):
+    calls = []
+    solve = geometry._symm_solve
+    monkeypatch.setattr(geometry, "_symm_solve",
+                        lambda verts: calls.append(verts) or solve(verts))
     K = ConvexDomain.unit_square()
-    est = transfinite_diameter_estimate(K, 32)
-    assert est.lower == pytest.approx(SQRT2 / 4)
-    assert est.upper == pytest.approx(SQRT2 / 2)
-    assert est.lower <= est.fekete_estimate <= est.upper
-    # finite-m estimates decrease toward the limit, about 0.59017 for the
-    # side-1 square, so every m stays above it
-    assert est.fekete_estimate > 0.59017
-
-
-def test_transfinite_monotone_in_m():
-    K = ConvexDomain.unit_square()
-    vals = [transfinite_diameter_estimate(K, m).fekete_estimate
-            for m in (8, 12, 16, 24, 32)]
-    for a, b in zip(vals, vals[1:]):
-        assert b <= a + 1e-6
-    rng = trial_rng(20260818, 9)
-    P = random_convex_polygon(rng, vertices=7)
-    vals = [transfinite_diameter_estimate(P, m).fekete_estimate
-            for m in (12, 20, 28)]
-    for a, b in zip(vals, vals[1:]):
-        assert b <= a + 1e-6 * P.diameter
-    assert P.diameter / 4 <= vals[-1] <= P.diameter / 2
+    first = K.capacity()
+    assert K.capacity() is first
+    assert len(calls) == 1
 
 
 # ------------------------------------------------ misc plumbing
