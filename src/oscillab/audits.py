@@ -798,20 +798,28 @@ def _pick_h_point(p, K, q, rng, log_sup):
     return sup_norm(p, K).z
 
 
-def audit_trial(audit_id: str, trial: int, seed: int,
-                params: dict = None) -> list:
-    """One deterministic batch trial; the rng depends only on (seed,
-    trial). ValueError unless n is None or an int >= 1, and when chebyshev,
-    which draws its own segment and degree, is given n or a domain."""
-    params = dict(params or {})
-    rng = trial_rng(seed, trial)
-    q = params.get("q", 2.0)
-    n = params.get("n")
-    dom = params.get("domain")
+def _check_params(audit_id: str, params: dict) -> None:
+    """ValueError for an unknown audit id, an n that is not an int >= 1,
+    and an n or a domain given to chebyshev (it draws both itself)."""
+    n, dom = params.get("n"), params.get("domain")
+    if audit_id not in AUDIT_IDS:
+        raise ValueError(f"unknown audit id: {audit_id}")
     if n is not None and (type(n) is not int or n < 1):
         raise ValueError(f"n must be an integer >= 1, got {n!r}")
     if audit_id == "chebyshev" and (n is not None or dom is not None):
         raise ValueError("chebyshev takes no n and no domain")
+
+
+def audit_trial(audit_id: str, trial: int, seed: int,
+                params: dict = None) -> list:
+    """One deterministic batch trial; the rng depends only on (seed,
+    trial). Bad parameters raise ValueError (`_check_params`)."""
+    params = dict(params or {})
+    _check_params(audit_id, params)
+    rng = trial_rng(seed, trial)
+    q = params.get("q", 2.0)
+    n = params.get("n")
+    dom = params.get("domain")
 
     if audit_id == "nikolskii":
         K = dom or random_domain(rng)
@@ -923,8 +931,6 @@ def audit_trial(audit_id: str, trial: int, seed: int,
         p = RootPolynomial(1.0, random_roots_in(K, deg, rng))
         return [depth_theorem_audit(p, K, q)]
 
-    raise ValueError(f"unknown audit id: {audit_id}")
-
 
 AUDIT_IDS = ("nikolskii", "hset", "hgap", "chebyshev", "transfinite",
              "concentration", "tilted", "zclass", "twopoint", "infnorm",
@@ -934,6 +940,7 @@ AUDIT_IDS = ("nikolskii", "hset", "hgap", "chebyshev", "transfinite",
 def run_batch(audit_id: str, trials: int, seed: int,
               params: dict = None) -> list:
     """Run a batch of audit trials, one after another, in trial order."""
+    _check_params(audit_id, params or {})
     out = []
     for i in range(trials):
         for rep in audit_trial(audit_id, i, seed, params):

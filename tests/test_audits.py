@@ -727,9 +727,12 @@ def test_run_batch_rejects_unknown_id():
     ("chebyshev", {"domain": SQUARE}),
 ], ids=["zero", "float", "bool", "string", "chebyshev-n", "chebyshev-domain"])
 def test_run_batch_rejects_bad_params(audit_id, params):
-    # n = 0 is an error, not a request for a random degree
+    # n = 0 is an error, not a request for a random degree; a batch of no
+    # trials checks its parameters too
     with pytest.raises(ValueError):
-        run_batch(audit_id, 3, 1, params)
+        audits.audit_trial(audit_id, 0, 1, params)
+    with pytest.raises(ValueError):
+        run_batch(audit_id, 0, 1, params)
 
 
 def test_report_records_carry_trial_index():

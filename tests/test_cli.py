@@ -206,7 +206,7 @@ def test_audit_chebyshev_rejects_n_and_domain(domains, tmp_path, capsys,
     # errors and nothing is written
     argv = [domains.get(a, a) for a in argv]
     out = tmp_path / "cheb"
-    code = cli.main(["audit", "chebyshev", "--trials", "2", *argv,
+    code = cli.main(["audit", "chebyshev", "--trials", "0", *argv,
                      "--out", str(out)])
     assert code == 2
     assert "chebyshev" in capsys.readouterr().err
