@@ -17,6 +17,7 @@ from .errors import (
     NoIntersection,
     NotInH,
     OscillabError,
+    QuadratureLimit,
     SingularPoint,
     ZeroChord,
     ZeroNorm,

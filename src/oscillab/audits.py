@@ -75,6 +75,10 @@ class AuditReport:
 
 # ---------------------------------------------------------------- H set
 
+# boundary samples that locate the threshold set's crossings before
+# bisection
+_H_MESH = 4096
+
 def h_constant(q: float) -> float:
     """The threshold multiplier c = (1/2) (8 pi (q+1))^(-1/q)."""
     return 0.5 * (8 * math.pi * (q + 1)) ** (-1.0 / q)
@@ -116,8 +120,7 @@ class HSet:
 
 
 def _h_intervals(p: RootPolynomial, K: ConvexDomain, q: float,
-                 n: int = None, mesh: int = 4096,
-                 multiplier: float = 1.0) -> tuple:
+                 n: int = None, multiplier: float = 1.0) -> tuple:
     """(arclength intervals of {|p| > multiplier c n^(-2/q) |p|_inf}, log
     threshold).  All mesh crossings are bisected together, each for up to
     60 steps or until its bracket is under 1e-12 of the perimeter;
@@ -126,7 +129,7 @@ def _h_intervals(p: RootPolynomial, K: ConvexDomain, q: float,
     log_thr = log_h_threshold(p, K, q, n=n, log_sup=log_sup) \
         + math.log(multiplier)
     L = K.perimeter
-    ss = np.linspace(0.0, L, mesh, endpoint=False)
+    ss = np.linspace(0.0, L, _H_MESH, endpoint=False)
     above = log_abs(p, K.gamma(ss)) > log_thr
 
     intervals = []
@@ -171,14 +174,13 @@ def _in_intervals(s: np.ndarray, intervals) -> np.ndarray:
 
 
 def h_set(p: RootPolynomial, K: ConvexDomain, q: float, n: int = None,
-          mesh: int = 4096, multiplier: float = 1.0) -> HSet:
+          multiplier: float = 1.0) -> HSet:
     """Resolve the set {|p| > c n^(-2/q) |p|_inf} on the boundary and both
     masses, from one integration of |p|^q over boundary pieces cut at the
     set's endpoints."""
-    intervals, log_thr = _h_intervals(p, K, q, n, mesh, multiplier)
+    intervals, log_thr = _h_intervals(p, K, q, n, multiplier)
     pieces = _boundary_pieces(K, [s for iv in intervals for s in iv])
-    masses, _ = _adaptive_log_integral(K, lambda z: log_abs(p, z), q, 1e-8,
-                                       pieces)
+    masses, _ = _adaptive_log_integral(K, lambda z: log_abs(p, z), q, pieces)
     on_h = _in_intervals(np.array([0.5 * (a + b) for a, b in pieces]),
                          intervals)
     log_on_h = _log_sum(masses[on_h])
@@ -400,12 +402,6 @@ class ZeroPartition:
             w = -np.conj(w)
         return self.zeta + w * np.exp(1j * self.alpha)
 
-    def segment_j(self, count: int = 4096) -> np.ndarray:
-        """Discretization of J, the outer quarter of the tilted chord, in
-        the normalized frame."""
-        t = np.linspace(0.75, 1.0, count)
-        return t * self.delta * np.exp(1j * (math.pi / 2 - 2 * self.theta))
-
 
 def classify_zeros(p: RootPolynomial, zeta: BoundaryPoint,
                    K: ConvexDomain, sigma: float = None) -> ZeroPartition:
@@ -456,20 +452,28 @@ def classify_zeros(p: RootPolynomial, zeta: BoundaryPoint,
 
 # ------------------------------------------------------ tilted estimates
 
-def _segment_log_max(p: RootPolynomial, z0: complex, z1: complex,
-                     count: int = 2048) -> float:
+# grid points on a tilted chord, before the golden polish
+_CHORD_GRID = 2048
+# directions swept across the normal cone at a corner
+_FAN = 8
+# grid points on J, the outer quarter of the tilted chord, before the
+# golden polish
+_J_GRID = 4096
+
+
+def _segment_log_max(p: RootPolynomial, z0: complex, z1: complex) -> float:
     """Max of log|p| on the segment [z0, z1] by grid plus golden polish."""
     if z0 == z1:
         return float(log_abs(p, np.asarray([z0]))[0])
     f = lambda t: log_abs(p, z0 + t * (z1 - z0))
-    ts = np.linspace(0.0, 1.0, count)
+    ts = np.linspace(0.0, 1.0, _CHORD_GRID)
     return _grid_max(f, ts, f(ts))[1]
 
 
 def tilted_normal_audit(p: RootPolynomial, zeta: BoundaryPoint,
                         K: ConvexDomain, branch: str = "auto",
                         sigma: float = None, q: float = None,
-                        log_sup: float = None, fan: int = 8) -> AuditReport:
+                        log_sup: float = None) -> AuditReport:
     """Pointwise lower bound on |p'/p| at a boundary point, from tilting
     the chosen normal by 2 theta both ways.
 
@@ -482,8 +486,8 @@ def tilted_normal_audit(p: RootPolynomial, zeta: BoundaryPoint,
     At a corner the supporting normal is free, so the audit sweeps a fan
     of directions across the normal cone and reports the worst margin,
     with the per-direction outcomes in the detail map."""
-    if sigma is None and zeta.omega > 0 and fan > 1:
-        sigmas = np.linspace(zeta.alpha_minus, zeta.alpha_plus, fan) \
+    if sigma is None and zeta.omega > 0:
+        sigmas = np.linspace(zeta.alpha_minus, zeta.alpha_plus, _FAN) \
             + math.pi / 2
         reports = [tilted_normal_audit(p, zeta, K, branch=branch,
                                        sigma=float(sg), q=q,
@@ -579,59 +583,31 @@ def tilted_normal_audit(p: RootPolynomial, zeta: BoundaryPoint,
     return AuditReport("tilted", lhs, max(rhs_m, rhs_p), detail=detail)
 
 
-def _newton_refine_t(roots: np.ndarray, delta: float, theta: float,
-                     t0: float) -> float:
-    """One Newton step on the stationarity of the log product along J."""
-    u = delta * np.exp(1j * (math.pi / 2 - 2 * theta))
-
-    def dg(t):
-        return float(np.real(u / (t * u - roots)).sum())
-
-    def ddg(t):
-        diff = t * u - roots
-        return float(np.real(-u * u / (diff * diff)).sum())
-
-    g2 = ddg(t0)
-    if g2 == 0.0:
-        return t0
-    t1 = t0 - dg(t0) / g2
-    if not (0.75 <= t1 <= 1.0):
-        return t0
-    f = lambda t: float(np.log(np.abs(t * u - roots)).sum())
-    return t1 if f(t1) >= f(t0) else t0
-
-
 def zero_class_product_audits(p: RootPolynomial, zeta: BoundaryPoint,
-                              K: ConvexDomain, sigma: float = None,
-                              grid: int = 4096) -> list:
-    """The five per-class product floors at the discrete maximizer tau0 of
-    the ball-class product over J, plus the final chained bound on
-    |p'/p|."""
+                              K: ConvexDomain, sigma: float = None) -> list:
+    """The five per-class product floors at the maximizer tau0 of the
+    ball-class product over J, the outer quarter of the tilted chord, plus
+    the final chained bound on |p'/p|."""
     part = classify_zeros(p, zeta, K, sigma=sigma)
     theta, delta, d = part.theta, part.delta, K.diameter
-    taus = part.segment_j(grid)
+    along_j = lambda t: t * delta * np.exp(1j * (math.pi / 2 - 2 * theta))
     z1, z2, z3, z4, z5 = [np.asarray(c, dtype=complex)
                           for c in part.classes]
 
     def log_prod(roots, tau):
         t = np.atleast_1d(np.asarray(tau, dtype=complex))
-        if roots.size == 0:
-            out = np.zeros(t.shape)
-        else:
-            out = (np.log(np.abs(t[:, None] - roots[None, :]))
-                   - np.log(np.abs(roots[None, :]))).sum(axis=1)
+        out = (np.log(np.abs(t[:, None] - roots[None, :]))
+               - np.log(np.abs(roots[None, :]))).sum(axis=1)
         return float(out[0]) if np.ndim(tau) == 0 else out
 
     # tau0 maximizes the ball-class product; empty class keeps the inner
     # end of J
+    t0 = 0.75
     if z3.size:
-        g = log_prod(z3, taus)
-        i0 = int(np.argmax(g))
-        t0 = _newton_refine_t(z3, delta, theta,
-                              0.75 + 0.25 * i0 / (grid - 1))
-        tau0 = t0 * delta * np.exp(1j * (math.pi / 2 - 2 * theta))
-    else:
-        tau0 = complex(taus[0])
+        ts = np.linspace(0.75, 1.0, _J_GRID)
+        f = lambda t: log_prod(z3, along_j(t))
+        t0 = _grid_max(f, ts, f(ts))[0]
+    tau0 = complex(along_j(t0))
     sin_t = math.sin(theta)
     reports = []
 
@@ -798,16 +774,123 @@ def _pick_h_point(p, K, q, rng, log_sup):
     return sup_norm(p, K).z
 
 
+def _poly(K, n, rng, lo, hi, draw_roots=random_roots_in):
+    """Monic polynomial of degree n, or of a degree drawn from [lo, hi),
+    with roots from draw_roots."""
+    deg = n or int(rng.integers(lo, hi))
+    return RootPolynomial(1.0, draw_roots(K, deg, rng))
+
+
+def _not_applicable(audit_id: str, reason: str) -> list:
+    return [AuditReport(audit_id, 0.0, 0.0, applicable=False,
+                        detail={"reason": reason})]
+
+
+def _hgap_trial(K, n, q, rng):
+    p = _poly(K, n, rng, 73, 120)
+    z = _pick_h_point(p, K, q, rng, sup_norm(p, K).log_value)
+    return [h_point_log_gap(p, K, z, q)]
+
+
+def _chebyshev_trial(K, n, q, rng):
+    length = float(rng.uniform(0.2, 4.0))
+    k = int(rng.integers(1, 7))
+    return [chebyshev_floor_check(length, k, trials=3, rng=rng)]
+
+
+def _concentration_trial(K, n, q, rng):
+    k_ratio = float(rng.uniform(16.0, 128.0))
+    deg = n or int(rng.integers(8, 24))
+    need = math.ceil(3 * math.log(2) / math.log(k_ratio) * deg)
+    inside = min(deg, max(need, int(deg * 0.8)))
+    center = (K.center if K.kind == "disk"
+              else complex(np.asarray(K.vertices).mean()))
+    K_prime = ConvexDomain.disk(center, K.diameter / (2.2 * k_ratio))
+    roots = list(random_roots_in(K_prime, inside, rng))
+    roots += list(random_roots_in(K, deg - inside, rng))
+    p = RootPolynomial(1.0, roots)
+    return [zero_concentration_audit(p, K, K_prime, k_ratio)]
+
+
+def _tilted_trial(K, n, q, rng):
+    p = _poly(K, n, rng, 5, 60)
+    bp = K.boundary_point(rng.uniform(0.0, K.perimeter))
+    try:
+        return [tilted_normal_audit(p, bp, K)]
+    except SingularPoint:
+        return _not_applicable("tilted", "singular point")
+
+
+def _zclass_trial(K, n, q, rng):
+    p = _poly(K, n, rng, 5, 40)
+    bp = K.boundary_point(rng.uniform(0.0, K.perimeter))
+    try:
+        return zero_class_product_audits(p, bp, K)
+    except (SingularPoint, ZeroChord) as exc:
+        return _not_applicable("zclass", str(exc))
+
+
+def _twopoint_trial(K, n, q, rng):
+    if K.kind != "polygon":
+        return _not_applicable("twopoint", "needs a polygon corner pair")
+    p = _poly(K, n, rng, 5, 40)
+    v = int(rng.integers(0, len(K.vertices)))
+    sv = K.vertex_s(v)
+    turn = K.boundary_point(sv).omega
+    s0 = min(1.0, 2 * math.sin(math.pi - turn)) / 384.0 * K.diameter
+    ds = float(rng.uniform(0.1, 0.45)) * s0
+    b1 = K.boundary_point((sv - ds) % K.perimeter)
+    b2 = K.boundary_point((sv + ds) % K.perimeter)
+    try:
+        return [two_point_audit(p, b1, b2, K, alpha=b1.alpha,
+                                alpha_prime=b2.alpha, q=q)]
+    except SingularPoint:
+        return _not_applicable("twopoint", "singular point")
+
+
+def _polygon_draw(lo: int, hi: int):
+    """Draw of a random convex polygon with lo to hi - 1 vertices."""
+    return lambda rng: random_convex_polygon(
+        rng, vertices=int(rng.integers(lo, hi)))
+
+
+# audit id -> (draw of the default domain, None for an audit that takes no
+# domain and no degree; trial (K, n, q, rng) -> reports).  A trial draws
+# its domain first, then its degree, roots and boundary points.
+_AUDITS = {
+    "nikolskii": (random_domain, lambda K, n, q, rng: [nikolskii_audit(
+        _poly(K, n, rng, 1, 30, random_roots_loose), K, q)]),
+    "hset": (random_domain, lambda K, n, q, rng: [h_set(
+        _poly(K, n, rng, 1, 25, random_roots_loose), K, q).mass_report()]),
+    "hgap": (random_domain, _hgap_trial),
+    "chebyshev": (None, _chebyshev_trial),
+    "transfinite": (random_domain, lambda K, n, q, rng: [
+        transfinite_floor_audit(_poly(K, n, rng, 1, 25), K)]),
+    "concentration": (_polygon_draw(4, 9), _concentration_trial),
+    "tilted": (random_domain, _tilted_trial),
+    "zclass": (random_domain, _zclass_trial),
+    "twopoint": (_polygon_draw(4, 8), _twopoint_trial),
+    "infnorm": (random_domain, lambda K, n, q, rng: [
+        infnorm_theorem_audit(_poly(K, n, rng, 1, 50), K)]),
+    "depth": (lambda rng: (ConvexDomain.unit_square() if rng.uniform() < 0.5
+                           else ConvexDomain.regular_polygon(6)),
+              lambda K, n, q, rng: [depth_theorem_audit(
+                  _poly(K, n, rng, 1, 40), K, q)]),
+}
+AUDIT_IDS = tuple(_AUDITS)
+
+
 def _check_params(audit_id: str, params: dict) -> None:
     """ValueError for an unknown audit id, an n that is not an int >= 1,
-    and an n or a domain given to chebyshev (it draws both itself)."""
+    and an n or a domain given to an audit that draws neither itself
+    (chebyshev)."""
     n, dom = params.get("n"), params.get("domain")
     if audit_id not in AUDIT_IDS:
         raise ValueError(f"unknown audit id: {audit_id}")
     if n is not None and (type(n) is not int or n < 1):
         raise ValueError(f"n must be an integer >= 1, got {n!r}")
-    if audit_id == "chebyshev" and (n is not None or dom is not None):
-        raise ValueError("chebyshev takes no n and no domain")
+    if _AUDITS[audit_id][0] is None and (n is not None or dom is not None):
+        raise ValueError(f"{audit_id} takes no n and no domain")
 
 
 def audit_trial(audit_id: str, trial: int, seed: int,
@@ -817,124 +900,11 @@ def audit_trial(audit_id: str, trial: int, seed: int,
     params = dict(params or {})
     _check_params(audit_id, params)
     rng = trial_rng(seed, trial)
-    q = params.get("q", 2.0)
-    n = params.get("n")
-    dom = params.get("domain")
-
-    if audit_id == "nikolskii":
-        K = dom or random_domain(rng)
-        deg = n or int(rng.integers(1, 30))
-        p = RootPolynomial(1.0, random_roots_loose(K, deg, rng))
-        return [nikolskii_audit(p, K, q)]
-
-    if audit_id == "hset":
-        K = dom or random_domain(rng)
-        deg = n or int(rng.integers(1, 25))
-        p = RootPolynomial(1.0, random_roots_loose(K, deg, rng))
-        return [h_set(p, K, q).mass_report()]
-
-    if audit_id == "hgap":
-        K = dom or random_domain(rng)
-        deg = n or int(rng.integers(73, 120))
-        p = RootPolynomial(1.0, random_roots_in(K, deg, rng))
-        log_sup = sup_norm(p, K).log_value
-        z = _pick_h_point(p, K, q, rng, log_sup)
-        return [h_point_log_gap(p, K, z, q)]
-
-    if audit_id == "chebyshev":
-        length = float(rng.uniform(0.2, 4.0))
-        k = int(rng.integers(1, 7))
-        return [chebyshev_floor_check(length, k, trials=3, rng=rng)]
-
-    if audit_id == "transfinite":
-        K = dom or random_domain(rng)
-        deg = n or int(rng.integers(1, 25))
-        p = RootPolynomial(1.0, random_roots_in(K, deg, rng))
-        return [transfinite_floor_audit(p, K)]
-
-    if audit_id == "concentration":
-        if dom is not None:
-            K = dom
-        else:
-            K = random_convex_polygon(rng, vertices=int(rng.integers(4, 9)))
-        k_ratio = float(rng.uniform(16.0, 128.0))
-        deg = n or int(rng.integers(8, 24))
-        need = math.ceil(3 * math.log(2) / math.log(k_ratio) * deg)
-        inside = min(deg, max(need, int(deg * 0.8)))
-        center = (K.center if K.kind == "disk"
-                  else complex(np.asarray(K.vertices).mean()))
-        K_prime = ConvexDomain.disk(center, K.diameter / (2.2 * k_ratio))
-        roots = list(random_roots_in(K_prime, inside, rng))
-        roots += list(random_roots_in(K, deg - inside, rng))
-        p = RootPolynomial(1.0, roots)
-        return [zero_concentration_audit(p, K, K_prime, k_ratio)]
-
-    if audit_id == "tilted":
-        K = dom or random_domain(rng)
-        deg = n or int(rng.integers(5, 60))
-        p = RootPolynomial(1.0, random_roots_in(K, deg, rng))
-        bp = K.boundary_point(rng.uniform(0.0, K.perimeter))
-        try:
-            return [tilted_normal_audit(p, bp, K)]
-        except SingularPoint:
-            return [AuditReport("tilted", 0.0, 0.0, applicable=False,
-                                detail={"reason": "singular point"})]
-
-    if audit_id == "zclass":
-        K = dom or random_domain(rng)
-        deg = n or int(rng.integers(5, 40))
-        p = RootPolynomial(1.0, random_roots_in(K, deg, rng))
-        bp = K.boundary_point(rng.uniform(0.0, K.perimeter))
-        try:
-            return zero_class_product_audits(p, bp, K)
-        except (SingularPoint, ZeroChord) as exc:
-            return [AuditReport("zclass", 0.0, 0.0, applicable=False,
-                                detail={"reason": str(exc)})]
-
-    if audit_id == "twopoint":
-        if dom is not None and dom.kind != "polygon":
-            return [AuditReport("twopoint", 0.0, 0.0, applicable=False,
-                                detail={"reason":
-                                        "needs a polygon corner pair"})]
-        K = dom or random_convex_polygon(rng,
-                                         vertices=int(rng.integers(4, 8)))
-        deg = n or int(rng.integers(5, 40))
-        p = RootPolynomial(1.0, random_roots_in(K, deg, rng))
-        v = int(rng.integers(0, len(K.vertices)))
-        sv = K.vertex_s(v)
-        turn = K.boundary_point(sv).omega
-        s0 = min(1.0, 2 * math.sin(math.pi - turn)) / 384.0 * K.diameter
-        ds = float(rng.uniform(0.1, 0.45)) * s0
-        b1 = K.boundary_point((sv - ds) % K.perimeter)
-        b2 = K.boundary_point((sv + ds) % K.perimeter)
-        try:
-            return [two_point_audit(p, b1, b2, K, alpha=b1.alpha,
-                                    alpha_prime=b2.alpha, q=q)]
-        except SingularPoint:
-            return [AuditReport("twopoint", 0.0, 0.0, applicable=False,
-                                detail={"reason": "singular point"})]
-
-    if audit_id == "infnorm":
-        K = dom or random_domain(rng)
-        deg = n or int(rng.integers(1, 50))
-        p = RootPolynomial(1.0, random_roots_in(K, deg, rng))
-        return [infnorm_theorem_audit(p, K)]
-
-    if audit_id == "depth":
-        if dom is not None:
-            K = dom
-        elif rng.uniform() < 0.5:
-            K = ConvexDomain.unit_square()
-        else:
-            K = ConvexDomain.regular_polygon(6, circumradius=1.0)
-        deg = n or int(rng.integers(1, 40))
-        p = RootPolynomial(1.0, random_roots_in(K, deg, rng))
-        return [depth_theorem_audit(p, K, q)]
-
-
-AUDIT_IDS = ("nikolskii", "hset", "hgap", "chebyshev", "transfinite",
-             "concentration", "tilted", "zclass", "twopoint", "infnorm",
-             "depth")
+    draw_domain, run = _AUDITS[audit_id]
+    K = params.get("domain")
+    if K is None and draw_domain is not None:
+        K = draw_domain(rng)
+    return run(K, params.get("n"), params.get("q", 2.0), rng)
 
 
 def run_batch(audit_id: str, trials: int, seed: int,

@@ -20,7 +20,8 @@ from pathlib import Path
 from . import __version__
 from .audits import AUDIT_IDS, run_batch
 from .covering import build_covering, max_feasible_r, r_schedule
-from .errors import CoveringInvalid, FamilyTooLarge, NoCutPoint
+from .errors import (CoveringInvalid, FamilyTooLarge, NoCutPoint,
+                     QuadratureLimit)
 from .geometry import ConvexDomain
 from .search import (
     SearchConfig,
@@ -78,6 +79,17 @@ def _read_json(path: Path, label: str):
         return json.loads(path.read_text(encoding="utf-8"))
     except (OSError, ValueError) as exc:
         raise _InputError(f"{label}: {exc}") from exc
+
+
+def _json_float(x) -> float | None:
+    """A JSON number, or "inf", as a float; None for any other value and
+    for an integer past the float range."""
+    if x == "inf":
+        return math.inf
+    try:
+        return float(x) if type(x) in (int, float) else None
+    except OverflowError:
+        return None
 
 
 def _dumps(obj, **kwargs) -> str:
@@ -172,7 +184,7 @@ def cmd_audit(args) -> int:
     try:
         reports = run_batch(args.audit_id, args.trials, args.seed,
                             run_params)
-    except ValueError as exc:
+    except (ValueError, QuadratureLimit) as exc:
         raise _InputError(f"invalid audit input: {exc}") from exc
 
     n_pass = sum(1 for r in reports if r.applicable and r.passed)
@@ -213,7 +225,7 @@ def cmd_search(args) -> int:
                               seed=args.seed, restarts=args.restarts,
                               init=args.init)
         result = minimize_oscillation(K, config)
-    except ValueError as exc:
+    except (ValueError, QuadratureLimit) as exc:
         raise _InputError(f"invalid search input: {exc}") from exc
 
     ceiling = (15.0 / K.diameter) * args.n
@@ -307,24 +319,26 @@ def cmd_table(args) -> int:
                 f"missing search output next to manifest: {man_path}")
         record = _read_json(result_path,
                             f"invalid search output next to {man_path}")
-        K = _load_domain(doc.get("domain_file", ""),
-                         f"invalid domain in manifest {man_path}")
         try:
-            n, q = doc["params"]["n"], doc["params"]["q"]
+            dom_file, n, q = (doc["domain_file"], doc["params"]["n"],
+                              doc["params"]["q"])
             best = record["best_M"]
         except (KeyError, TypeError) as exc:
             raise _InputError(f"invalid search manifest {man_path}: "
                               f"bad or missing field ({exc!r})") from exc
-        if q == "inf":
-            q = math.inf
-        if not (type(n) is int
-                and type(q) in (int, float) and q >= 1):
-            raise _InputError(f"invalid search manifest {man_path}: need an "
-                              f"integer n and a number q >= 1, got n={n!r}, "
-                              f"q={q!r}")
+        q, best = _json_float(q), _json_float(best)
+        if not (type(dom_file) is str and type(n) is int and n >= 1
+                and _json_float(n) is not None
+                and q is not None and q >= 1 and best is not None):
+            raise _InputError(f"invalid search manifest {man_path}: need a "
+                              f"domain_file path, an integer n >= 1, a number "
+                              f"q >= 1 and a number best_M, got "
+                              f"domain_file={dom_file!r}, n={n!r}, q={q!r}, "
+                              f"best_M={best!r}")
+        K = _load_domain(dom_file, f"invalid domain in manifest {man_path}")
         d, w = K.diameter, K.width
         rows.append((
-            doc["domain_file"], n, q, best,
+            dom_file, n, q, best,
             n / 2.0 if K.kind == "disk" else "",
             (15.0 / d) * n,
             1e-3 * (w / (d * d)) * n,

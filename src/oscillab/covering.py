@@ -52,6 +52,11 @@ __all__ = [
     "max_feasible_r",
 ]
 
+# grid points on a component arc, before the golden polish
+_ARC_GRID = 4096
+# bisection steps of max_feasible_r
+_R_BISECTIONS = 48
+
 
 def covering_tilt_angle(K: ConvexDomain) -> float:
     """Default tilt for the covering construction: arcsin(w/d)/80."""
@@ -426,15 +431,12 @@ def build_covering(K: ConvexDomain, r: float, theta: float = None,
                     checked_points=len(ver))
 
 
-def max_feasible_r(K: ConvexDomain, theta: float = None,
-                   iters: int = 48) -> float:
+def max_feasible_r(K: ConvexDomain, theta: float = None) -> float:
     """Largest r (up to bisection accuracy) for which build_covering
     succeeds, scanning below the hard bound w/108."""
     theta = covering_tilt_angle(K) if theta is None else theta
-    hi = K.width / 108.0
-    lo = 0.0
-    feasible = 0.0
-    for _ in range(iters):
+    lo, hi = 0.0, K.width / 108.0
+    for _ in range(_R_BISECTIONS):
         mid = 0.5 * (lo + hi)
         try:
             build_covering(K, mid, theta, verify_mesh=256)
@@ -442,10 +444,9 @@ def max_feasible_r(K: ConvexDomain, theta: float = None,
             hi = mid
         else:
             lo = mid
-            feasible = mid
         if hi - lo <= 1e-12 * K.width:
             break
-    return feasible
+    return lo
 
 
 # ------------------------------------------------------------ schedules
@@ -494,13 +495,13 @@ class CaseSplit:
     detail: dict
 
 
-def _arc_extrema(p, K, comp_arc, grid=4096):
+def _arc_extrema(p, K, comp_arc):
     """(min, max) of log|p| over a component arc via a dense grid plus a
     golden-section polish, within one grid step, of the grid min and of
     the grid max."""
     L = K.perimeter
-    ss = np.linspace(comp_arc.start_s, comp_arc.end_s, grid)
-    step = (comp_arc.end_s - comp_arc.start_s) / (grid - 1)
+    ss = np.linspace(comp_arc.start_s, comp_arc.end_s, _ARC_GRID)
+    step = (comp_arc.end_s - comp_arc.start_s) / (_ARC_GRID - 1)
     f = lambda s: log_abs(p, K.gamma(s % L))
     vals = f(ss)
     _, v_lo_neg = _grid_max(lambda s: -f(s), ss, -vals, step)
@@ -530,7 +531,7 @@ def case_split(p: RootPolynomial, K: ConvexDomain, q: float,
     cov_pieces = covering.intervals()
     cuts = [s for iv in h_intervals + cov_pieces for s in iv]
     pieces = _boundary_pieces(K, cuts)
-    masses, _ = _adaptive_log_integral(K, lambda z: log_abs(mp, z), q, 1e-8,
+    masses, _ = _adaptive_log_integral(K, lambda z: log_abs(mp, z), q,
                                        pieces)
     mids = np.array([0.5 * (a + b) for a, b in pieces])
     in_h = _in_intervals(mids, h_intervals)

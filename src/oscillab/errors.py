@@ -18,6 +18,12 @@ class ZeroNorm(OscillabError):
     """A norm underflowed to zero; ratios of norms are undefined."""
 
 
+class QuadratureLimit(OscillabError):
+    """The adaptive quadrature needs more live panels in one level than its
+    bound allows; a q this large makes |p|^q too narrow a spike to
+    integrate."""
+
+
 class ZeroChord(OscillabError):
     """A construction needs a chord of positive length but got delta = 0."""
 

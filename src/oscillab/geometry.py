@@ -253,19 +253,6 @@ class ConvexDomain:
         self._depth = 2.0 * self.radius
         self._capacity = (self.radius,) * 3
 
-    # short aliases used in formulas
-    @property
-    def d(self) -> float:
-        return self.diameter
-
-    @property
-    def w(self) -> float:
-        return self.width
-
-    @property
-    def L(self) -> float:
-        return self.perimeter
-
     @property
     def tol(self) -> float:
         return GEOM_REL_TOL * self.diameter
@@ -391,13 +378,6 @@ class ConvexDomain:
             if dist < best[0]:
                 best = (dist, self._cum[i] + t)
         return best[1] % self.perimeter
-
-    def area(self) -> float:
-        if self.kind == "disk":
-            return math.pi * self.radius ** 2
-        vs = self.vertices
-        return 0.5 * sum(_cross(vs[i], vs[(i + 1) % len(vs)])
-                         for i in range(len(vs)))
 
     def as_clip_polygon(self, resolution: int = 1024) -> list[complex]:
         """Vertex list used for clipping and area sampling.
@@ -591,26 +571,25 @@ def chord(K: ConvexDomain, zeta, phi) -> Chord:
 class TriangleContainmentReport:
     applicable: bool
     reason: str
-    samples: int
+    vertices: int
     violations: int
     min_margin: float
     T: complex | None
 
 
 def triangle_containment_check(K: ConvexDomain, zeta, zeta_prime,
-                               phi_t: float, phi_t_prime: float,
-                               samples: int = 10000,
-                               rng: np.random.Generator | None = None
+                               phi_t: float, phi_t_prime: float
                                ) -> TriangleContainmentReport:
     """Check that the part of K beyond the chord [zeta, zeta'] fits in the
     triangle (zeta, T, zeta'), where T is the crossing of the two supporting
     half-lines from zeta and zeta'.
 
     phi_t and phi_t_prime are direction angles of the half-lines (rays). The
-    rays must not re-enter the interior of K. Returns a sampling report; a
-    negative min_margin beyond tolerance counts as a violation.
+    rays must not re-enter the interior of K. That part is a convex polygon
+    (on a disk, the part of the inscribed `as_clip_polygon`), so it lies in
+    the triangle exactly when its vertices do: the report counts the
+    vertices whose margin to the triangle is below -tolerance.
     """
-    rng = np.random.default_rng(0) if rng is None else rng
     z1 = zeta.z if isinstance(zeta, BoundaryPoint) else complex(zeta)
     z2 = zeta_prime.z if isinstance(zeta_prime, BoundaryPoint) else complex(zeta_prime)
     tol = K.tol
@@ -643,16 +622,16 @@ def triangle_containment_check(K: ConvexDomain, zeta, zeta_prime,
         return TriangleContainmentReport(False, "T on the chord line", 0, 0,
                                          math.nan, T)
     inward = 1j * cell if side_T > 0 else -1j * cell
-    clipped = clip_polygon_halfplane(K.as_clip_polygon(), z1, inward, tol=0.0)
-    if len(clipped) < 3:
+    pts = np.asarray(clip_polygon_halfplane(K.as_clip_polygon(), z1, inward,
+                                            tol=0.0))
+    if pts.size < 3:
         return TriangleContainmentReport(True, "empty far side", 0, 0,
                                          math.inf, T)
-    pts = sample_polygon_uniform(clipped, samples, rng)
     tri = (z1, T, z2)
     orient = _cross(tri[1] - tri[0], tri[2] - tri[0])
     if orient < 0:
         tri = (z2, T, z1)
-    margins = np.full(samples, math.inf)
+    margins = np.full(pts.size, math.inf)
     for i in range(3):
         aa, bb = tri[i], tri[(i + 1) % 3]
         e = bb - aa
@@ -662,7 +641,7 @@ def triangle_containment_check(K: ConvexDomain, zeta, zeta_prime,
         m = (e.real * (pts.imag - aa.imag) - e.imag * (pts.real - aa.real)) / elen
         margins = np.minimum(margins, m)
     bad = int((margins < -tol).sum())
-    return TriangleContainmentReport(True, "", samples, bad,
+    return TriangleContainmentReport(True, "", pts.size, bad,
                                      float(margins.min()), T)
 
 

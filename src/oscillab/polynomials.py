@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SingularPoint, ZeroNorm
+from .errors import QuadratureLimit, SingularPoint, ZeroNorm
 from .geometry import ConvexDomain
 
 # (point, root) pairs per kernel chunk: about 1 MB of complex temporaries,
@@ -203,9 +203,14 @@ def logabs_derivative(p: RootPolynomial, z, with_log_abs: bool = False):
 
 # ------------------------------------------------------------- quadrature
 
-# split-and-compare stops halving a panel at this depth and accepts it as
-# it stands, with no tolerance check
+# split-and-compare accepts a panel when halving it moves its value by under
+# _QUAD_TOL (relative), and at depth _MAX_DEPTH with no check
+_QUAD_TOL = 1e-8
 _MAX_DEPTH = 26
+# live panels one level may split: their 2^21 half-panel nodes take about
+# 150 MB of temporaries.  Only a huge q (about 3e5 for three roots in the
+# unit square) makes e^{q flog} a spike this hard to resolve.
+_MAX_LIVE_PANELS = 1 << 16
 
 
 def _boundary_pieces(K: ConvexDomain, cuts=()) -> list:
@@ -250,13 +255,15 @@ def _panel_log_integrals(K, flog, q, a, b):
                                  * np.exp(li - shift[:, None]), axis=1))
 
 
-def _adaptive_log_integral(K, flog, q, rel_tol, pieces):
+def _adaptive_log_integral(K, flog, q, pieces):
     """(log of the integral of e^{q flog} over each piece, panel count).
 
     Split-and-compare, level by level: every live panel is halved, both
     halves of all of them come from one boundary call and one flog call,
     and a panel is accepted when the halves' sum moves its value by under
-    rel_tol.  At depth _MAX_DEPTH it is accepted without that check."""
+    _QUAD_TOL.  At depth _MAX_DEPTH it is accepted without that check.
+    Raises QuadratureLimit when a level has over _MAX_LIVE_PANELS panels
+    to split."""
     a = np.array([lo for lo, _ in pieces], dtype=float)
     b = np.array([hi for _, hi in pieces], dtype=float)
     owner = np.arange(len(pieces))
@@ -265,6 +272,10 @@ def _adaptive_log_integral(K, flog, q, rel_tol, pieces):
     kept_owner, kept_value = [], []
     depth = 0
     while a.size:
+        if a.size > _MAX_LIVE_PANELS:
+            raise QuadratureLimit(
+                f"q = {q:g}: {a.size} panels to split at depth {depth}, "
+                f"over the limit of {_MAX_LIVE_PANELS}")
         mid = 0.5 * (a + b)
         halves = _panel_log_integrals(K, flog, q, np.concatenate([a, mid]),
                                       np.concatenate([mid, b]))
@@ -273,7 +284,7 @@ def _adaptive_log_integral(K, flog, q, rel_tol, pieces):
         live = (fine > -math.inf) | (coarse > -math.inf)
         with np.errstate(invalid="ignore"):
             close = ((fine > -math.inf) & (coarse > -math.inf)
-                     & (np.abs(np.expm1(coarse - fine)) <= rel_tol))
+                     & (np.abs(np.expm1(coarse - fine)) <= _QUAD_TOL))
         accept = live & (close | (depth >= _MAX_DEPTH))
         kept_owner.append(owner[accept])
         kept_value.append(fine[accept])
@@ -307,9 +318,10 @@ class SupNorm:
 
 
 _INV_GOLD = (math.sqrt(5.0) - 1.0) / 2.0
+_GOLDEN_STEPS = 80
 
 
-def _golden_max(f, lo, hi, iters=80):
+def _golden_max(f, lo, hi):
     """Golden-section search for the max of f on every bracket [lo_i, hi_i]
     at once.  Each step makes one f call on the array of the brackets' new
     points, and each bracket runs the scalar recurrence in Python floats,
@@ -321,7 +333,7 @@ def _golden_max(f, lo, hi, iters=80):
     c = [b[i] - _INV_GOLD * (b[i] - a[i]) for i in range(k)]
     d = [a[i] + _INV_GOLD * (b[i] - a[i]) for i in range(k)]
     fc, fd = f(np.array(c)).tolist(), f(np.array(d)).tolist()
-    for _ in range(iters):
+    for _ in range(_GOLDEN_STEPS):
         left = [fc[i] >= fd[i] for i in range(k)]
         x = []
         for i in range(k):
@@ -430,7 +442,7 @@ class LqNorm:
 
 
 def lq_norm(p: RootPolynomial, K: ConvexDomain, q: float,
-            rel_tol: float = 1e-8, derivative: bool = False) -> LqNorm:
+            derivative: bool = False) -> LqNorm:
     """(integral over the boundary of |p|^q ds)^(1/q); q = inf routes to
     the sup norm.  Set derivative=True for |p'|."""
     if not q >= 1:
@@ -440,7 +452,7 @@ def lq_norm(p: RootPolynomial, K: ConvexDomain, q: float,
     if q == math.inf:
         sup = sup_norm(p, K, flog=flog)
         return LqNorm(math.inf, sup.log_value, 0)
-    log_masses, panels = _adaptive_log_integral(K, flog, q, rel_tol,
+    log_masses, panels = _adaptive_log_integral(K, flog, q,
                                                 _boundary_pieces(K))
     return LqNorm(q, _log_sum(log_masses) / q, panels)
 
@@ -479,8 +491,8 @@ class MarkovFactor:
                 "norm_dp": self.norm_dp, "M": self.M}
 
 
-def inverse_markov_factor(p: RootPolynomial, K: ConvexDomain, q: float,
-                          rel_tol: float = 1e-8) -> MarkovFactor:
+def inverse_markov_factor(p: RootPolynomial, K: ConvexDomain, q: float
+                          ) -> MarkovFactor:
     """The oscillation factor of p on the boundary of K."""
     if p.lead == 0:
         raise ZeroNorm("polynomial is identically zero")
@@ -488,9 +500,9 @@ def inverse_markov_factor(p: RootPolynomial, K: ConvexDomain, q: float,
     if q == math.inf:
         sup_p, sup_dp = sup_norms(mp, K)
         return MarkovFactor(q, sup_p.log_value, sup_dp.log_value)
-    log_p = lq_norm(mp, K, q, rel_tol).log_value
+    log_p = lq_norm(mp, K, q).log_value
     if mp.n == 0:
         return MarkovFactor(q, log_p, -math.inf)
-    log_dp = lq_norm(mp, K, q, rel_tol, derivative=True).log_value
+    log_dp = lq_norm(mp, K, q, derivative=True).log_value
     # the true leading factor shifts both norms by the same log
     return MarkovFactor(q, log_p, log_dp)

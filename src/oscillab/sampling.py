@@ -6,13 +6,9 @@ trial index reproduces any single trial exactly.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .geometry import ConvexDomain
-
-TWO_PI = 2.0 * math.pi
+from .geometry import TWO_PI, ConvexDomain
 
 
 def trial_rng(master_seed: int, trial_index: int) -> np.random.Generator:
@@ -21,23 +17,21 @@ def trial_rng(master_seed: int, trial_index: int) -> np.random.Generator:
 
 
 def random_convex_polygon(rng: np.random.Generator, vertices: int = 8,
-                          scale: float = 1.0, center: complex = 0j,
-                          irregularity: float = 0.35) -> ConvexDomain:
-    """Random strictly convex polygon with the requested vertex count.
+                          scale: float = 1.0) -> ConvexDomain:
+    """Random strictly convex polygon around 0 with the requested vertex
+    count.
 
-    Vertices are placed at sorted random angles with mildly varying radii;
-    radius variation is capped so the polygon stays convex, then the hull
-    condition is checked and the draw repeated if a near-degenerate corner
-    slipped through.
+    Vertices are placed at sorted random angles with radii within 35% of
+    scale; the hull condition is then checked and the draw repeated if a
+    near-degenerate corner slipped through.
     """
     if vertices < 3:
         raise ValueError("need at least 3 vertices")
     for _ in range(64):
         gaps = rng.uniform(0.5, 1.5, size=vertices)
         angles = TWO_PI * np.cumsum(gaps) / gaps.sum()
-        radii = scale * (1.0 + irregularity * rng.uniform(-1.0, 1.0,
-                                                          size=vertices))
-        pts = center + radii * np.exp(1j * angles)
+        radii = scale * (1.0 + 0.35 * rng.uniform(-1.0, 1.0, size=vertices))
+        pts = radii * np.exp(1j * angles)
         pts = _convex_subset(pts)
         if len(pts) == vertices:
             try:
@@ -47,7 +41,7 @@ def random_convex_polygon(rng: np.random.Generator, vertices: int = 8,
     # fall back to a concyclic polygon, always strictly convex
     gaps = rng.uniform(0.5, 1.5, size=vertices)
     angles = TWO_PI * np.cumsum(gaps) / gaps.sum()
-    pts = center + scale * np.exp(1j * angles)
+    pts = scale * np.exp(1j * angles)
     return ConvexDomain.polygon([complex(p) for p in pts])
 
 
@@ -79,9 +73,9 @@ def _convex_subset(pts: np.ndarray) -> np.ndarray:
     return np.asarray(keep)
 
 
-def random_domain(rng: np.random.Generator, allow_disk: bool = True
-                  ) -> ConvexDomain:
-    if allow_disk and rng.uniform() < 0.2:
+def random_domain(rng: np.random.Generator) -> ConvexDomain:
+    """A disk one time in five, else a random polygon of 4 to 9 vertices."""
+    if rng.uniform() < 0.2:
         return ConvexDomain.disk(
             complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5)),
             rng.uniform(0.5, 1.5))
@@ -95,21 +89,23 @@ def random_roots_in(K: ConvexDomain, n: int,
     return K.sample_uniform(n, rng)
 
 
-def random_roots_loose(K: ConvexDomain, n: int, rng: np.random.Generator,
-                       spread: float = 1.0) -> np.ndarray:
-    """Roots scattered in a box around K, not restricted to K.
+def random_roots_loose(K: ConvexDomain, n: int,
+                       rng: np.random.Generator) -> np.ndarray:
+    """Roots uniform in the square centred on K whose half-side is 1.5
+    times K's radius (disk) or longer bounding-box side (polygon), not
+    restricted to K.
 
     Used by audits whose inequalities hold for arbitrary polynomials of a
     given degree.
     """
     if K.kind == "disk":
-        c = K.center
-        half = (0.5 + spread) * K.radius
+        c, extent = K.center, K.radius
     else:
         xs = [v.real for v in K.vertices]
         ys = [v.imag for v in K.vertices]
         c = complex((min(xs) + max(xs)) / 2, (min(ys) + max(ys)) / 2)
-        half = (0.5 + spread) * max(max(xs) - min(xs), max(ys) - min(ys))
+        extent = max(max(xs) - min(xs), max(ys) - min(ys))
+    half = 1.5 * extent
     re = rng.uniform(c.real - half, c.real + half, size=n)
     im = rng.uniform(c.imag - half, c.imag + half, size=n)
     return re + 1j * im

@@ -32,6 +32,8 @@ __all__ = [
 ]
 
 _INITS = ("boundary-uniform", "interior-uniform", "corner-clustered", "user")
+# most trace points a SearchResult keeps
+_TRACE_CAP = 1000
 
 
 @dataclass(frozen=True)
@@ -236,10 +238,11 @@ def _restart_search(K, config, restart, budget, zs, ws):
     return roots, cur, evals, trace
 
 
-def _decimate(points, cap=1000):
-    if len(points) <= cap:
+def _decimate(points):
+    if len(points) <= _TRACE_CAP:
         return tuple(points)
-    idx = np.unique(np.linspace(0, len(points) - 1, cap).round().astype(int))
+    idx = np.unique(np.linspace(0, len(points) - 1,
+                                _TRACE_CAP).round().astype(int))
     return tuple(points[i] for i in idx)
 
 
@@ -277,7 +280,9 @@ def minimize_oscillation(K: ConvexDomain,
         for idx, val in trace:
             if val < best_score or not merged:
                 merged.append((offset + idx, math.exp(min(val, best_score))))
-        if score < best_score:
+        # a NaN score (q so large that both norms overflow) never compares
+        # below another; the first restart then stands
+        if score < best_score or best_roots is None:
             best_roots, best_score = roots, score
         offset += evals
     total = offset

@@ -530,6 +530,30 @@ def test_zclass_single_opposite_root_scalar_arithmetic():
     assert rep.passed
 
 
+def test_zclass_tau0_attains_dense_grid_max_of_ball_product():
+    # tau0 comes from the one grid-then-golden maximizer; on ball classes
+    # its log product must match a 200 001-point grid of J
+    rng = np.random.default_rng(SEED + 12)
+    t = np.linspace(0.75, 1.0, 200_001)
+    checked = 0
+    while checked < 30:
+        K = random_domain(rng)
+        p = RootPolynomial(1.0, random_roots_in(K, int(rng.integers(5, 40)),
+                                                rng))
+        bp = K.boundary_point(rng.uniform(0.0, K.perimeter))
+        part = classify_zeros(p, bp, K)
+        if part.kappa == 0:
+            continue
+        z3 = np.asarray(part.classes[2])
+        u = part.delta * np.exp(1j * (math.pi / 2 - 2 * part.theta))
+        dense = float((np.log(np.abs((t * u)[:, None] - z3))
+                       - np.log(np.abs(z3))).sum(axis=1).max())
+        reps = {r.audit_id: r for r in zero_class_product_audits(p, bp, K)}
+        assert abs(reps["zclass_ball"].lhs - dense) <= 1e-12 * max(
+            1.0, abs(dense)), (checked, reps["zclass_ball"].lhs, dense)
+        checked += 1
+
+
 def test_zclass_chain_matches_direct_ratio():
     rng = np.random.default_rng(13)
     p = RootPolynomial(1.0, random_roots_in(SQUARE, 12, rng))
@@ -716,6 +740,18 @@ def test_run_batch_rejects_unknown_id():
     with pytest.raises(ValueError):
         run_batch("nonsense", 2, SEED)
     assert "tilted" in AUDIT_IDS
+
+
+def test_audit_ids_are_the_table_and_each_runs():
+    # the CLI's choices and the benchmark iterate these ids in this order
+    assert AUDIT_IDS == tuple(audits._AUDITS) == (
+        "nikolskii", "hset", "hgap", "chebyshev", "transfinite",
+        "concentration", "tilted", "zclass", "twopoint", "infnorm",
+        "depth")
+    for audit_id in AUDIT_IDS:
+        reps = run_batch(audit_id, 1, SEED)
+        assert reps and all(r.passed for r in reps), audit_id
+        assert all(r.detail["trial"] == 0 for r in reps)
 
 
 @pytest.mark.parametrize("audit_id, params", [

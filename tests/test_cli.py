@@ -406,3 +406,118 @@ def test_rerun_is_byte_identical(domains, tmp_path):
         outs.append(out)
     for name in ("search.json", "trace.csv", "manifest.json"):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+# ------------------------------------------------------------------ fuzz
+
+_ANY_JSON = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),
+              st.text(max_size=4), st.sampled_from([0, 1, 10 ** 400, "inf"])),
+    lambda inner: st.one_of(st.lists(inner, max_size=2),
+                            st.dictionaries(st.text(max_size=2), inner,
+                                            max_size=2)),
+    max_leaves=4)
+_VALID_DOMAIN = "<the disk domain file>"
+_RUN_DOCS = st.tuples(
+    st.fixed_dictionaries({"command": st.just("search")}, optional={
+        "domain_file": st.one_of(st.just(_VALID_DOMAIN), _ANY_JSON),
+        "params": st.one_of(st.fixed_dictionaries({}, optional={
+            "n": st.one_of(st.integers(1, 64), _ANY_JSON),
+            "q": st.one_of(st.sampled_from([1, 2.0, "inf", 0.5]), _ANY_JSON),
+        }), _ANY_JSON),
+    }),
+    st.one_of(st.fixed_dictionaries({}, optional={
+        "best_M": st.one_of(st.floats(0.0, 100.0), st.just("inf"),
+                            _ANY_JSON)}), _ANY_JSON))
+
+
+@given(runs=st.lists(_RUN_DOCS, min_size=1, max_size=2), same=st.booleans())
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_table_fuzzed_manifests_exit_zero_or_two(domains, tmp_path, runs,
+                                                  same):
+    # every JSON type in domain_file, params.n, params.q and best_M; with
+    # same, both rows share a domain and q and meet in the monotonicity
+    # check
+    if same and len(runs) == 2:
+        runs[1] = (runs[0][0], runs[1][1])
+    base = Path(tempfile.mkdtemp(dir=tmp_path))
+    paths = []
+    for i, (doc, record) in enumerate(runs):
+        run = base / str(i)
+        run.mkdir()
+        if doc.get("domain_file") == _VALID_DOMAIN:
+            doc = dict(doc, domain_file=domains["disk"])
+        (run / "manifest.json").write_text(json.dumps(doc))
+        (run / "search.json").write_text(json.dumps(record))
+        paths.append(str(run / "manifest.json"))
+    assert cli.main(["table", *paths, "--out", str(base / "t")]) in (0, 2)
+
+
+def _exit_code(argv) -> int:
+    try:
+        return cli.main(argv)
+    except SystemExit as exc:     # argparse rejects the option
+        return exc.code
+
+
+# junk for any numeric option, then per option the valid values, kept
+# small so that every run the fuzz makes stays short; a huge finite q runs
+# in test_huge_q_exits_two, under a memory limit
+_JUNK_TEXT = ["nan", "-1", "1e400", "", "inf", "-inf", "abc", "2.5", "-0"]
+_OPTION_VALUES = {
+    "--trials": ["0", "1", "2"],
+    "--n": ["1", "4", "8"],
+    "--q": ["1", "2", "inf", "100", "0.5"],
+    "--budget": ["0", "10", "50"],
+    "--restarts": ["0", "1", "4", "51"],
+    "--r": ["0.001", "1e-300", "1e300"],
+    "--theta": ["0", "-1", "0.01", "10", "1e300"],
+}
+_COMMAND_OPTIONS = {
+    "audit": ("--trials", "--n", "--q"),
+    "search": ("--n", "--q", "--budget", "--restarts"),
+    "covering": ("--r", "--n", "--theta"),
+}
+
+
+@st.composite
+def _fuzzed_argv(draw):
+    command = draw(st.sampled_from(sorted(_COMMAND_OPTIONS)))
+    argv = [command]
+    if command == "audit":
+        argv.append(draw(st.sampled_from(cli.AUDIT_IDS)))
+        argv += ["--trials", "1"]
+    else:
+        argv += ["--domain", _VALID_DOMAIN]
+    if command == "search":
+        argv += ["--n", "2", "--budget", "20"]
+    for opt in _COMMAND_OPTIONS[command]:
+        if draw(st.booleans()):
+            argv += [opt, draw(st.sampled_from(_OPTION_VALUES[opt]
+                                               + _JUNK_TEXT))]
+    return argv
+
+
+@given(argv=_fuzzed_argv())
+@settings(max_examples=120, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_fuzzed_numeric_options_exit_without_traceback(domains, argv):
+    # a later option overrides the defaults set above; 3 (audit failure),
+    # 4 (search incomplete) and 5 (covering failure) are verdicts, not
+    # crashes
+    argv = [domains["square"] if a == _VALID_DOMAIN else a for a in argv]
+    assert _exit_code(argv) in (0, 2, 3, 4, 5)
+
+
+def test_huge_q_exits_two(bounded_python, domains):
+    # q = 1e308 once grew the quadrature until the process was killed
+    res = bounded_python(f"""
+from oscillab import cli
+print(cli.main(["audit", "nikolskii", "--q", "1e308", "--trials", "1"]),
+      cli.main(["search", "--domain", {domains["square"]!r}, "--n", "4",
+                "--budget", "50", "--q", "1e308"]))
+""")
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split() == ["2", "2"]
+    assert "panels to split" in res.stderr

@@ -429,9 +429,9 @@ def test_case_split_rejects_sup_norm():
 def _counting(monkeypatch, module, calls):
     original = module._adaptive_log_integral
 
-    def counted(K, flog, q, rel_tol, pieces):
+    def counted(K, flog, q, pieces):
         calls.append(module.__name__)
-        return original(K, flog, q, rel_tol, pieces)
+        return original(K, flog, q, pieces)
     monkeypatch.setattr(module, "_adaptive_log_integral", counted)
 
 

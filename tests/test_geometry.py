@@ -406,9 +406,7 @@ def test_triangle_containment_square_corner():
     K = ConvexDomain.unit_square()
     # points near the corner (1,0); tangents along the edges meet there
     z1, z2 = complex(0.9, 0.0), complex(1.0, 0.1)
-    rep = triangle_containment_check(K, z1, z2, 0.0, -math.pi / 2,
-                                     samples=4000,
-                                     rng=np.random.default_rng(7))
+    rep = triangle_containment_check(K, z1, z2, 0.0, -math.pi / 2)
     assert rep.applicable
     assert rep.violations == 0
     assert rep.T == pytest.approx(1 + 0j)
@@ -419,9 +417,7 @@ def test_triangle_containment_disk():
     s1 = 0.1
     s2 = 0.35
     b1, b2 = K.boundary_point(s1), K.boundary_point(s2)
-    rep = triangle_containment_check(K, b1, b2, b1.alpha, b2.alpha + math.pi,
-                                     samples=10_000,
-                                     rng=np.random.default_rng(11))
+    rep = triangle_containment_check(K, b1, b2, b1.alpha, b2.alpha + math.pi)
     assert rep.applicable
     assert rep.violations == 0
 
@@ -435,8 +431,7 @@ def test_triangle_containment_random_batch():
         s2 = (s1 + rng.uniform(0.02, 0.2) * K.perimeter) % K.perimeter
         b1, b2 = K.boundary_point(s1), K.boundary_point(s2)
         rep = triangle_containment_check(
-            K, b1, b2, b1.alpha_plus, b2.alpha_minus + math.pi,
-            samples=500, rng=rng)
+            K, b1, b2, b1.alpha_plus, b2.alpha_minus + math.pi)
         if not rep.applicable:
             continue
         checked += 1

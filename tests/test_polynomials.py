@@ -396,7 +396,7 @@ def test_constant_integrand_gives_piece_lengths():
     flat = lambda z: np.zeros(np.shape(z))
     for K in PIECE_DOMAINS:
         pieces = _boundary_pieces(K, CUTS)
-        masses, panels = _adaptive_log_integral(K, flat, 2.0, 1e-8, pieces)
+        masses, panels = _adaptive_log_integral(K, flat, 2.0, pieces)
         # every piece is accepted at its first halving, so none is split
         assert panels == len(pieces)
         lengths = np.array([b - a for a, b in pieces])
@@ -404,6 +404,30 @@ def test_constant_integrand_gives_piece_lengths():
 
 
 # --------------------------------------------------------------- records
+
+def test_quadrature_panel_limit_stops_huge_q(bounded_python):
+    # a huge q makes |p|^q a spike the nodes cannot see, and the panels of
+    # one level once grew toward 2^26 per piece until memory ran out
+    res = bounded_python("""
+from oscillab.errors import QuadratureLimit
+from oscillab.geometry import ConvexDomain
+from oscillab.polynomials import RootPolynomial, lq_norm
+K = ConvexDomain.unit_square()
+p = RootPolynomial(1.0, [0.3 + 0.2j, 0.7 + 0.6j, 0.5 + 0.5j])
+print(lq_norm(p, K, 1e5).panels)
+for q in (1e12, 1e100, 1e308):
+    try:
+        lq_norm(p, K, q)
+        print("no limit at", q)
+    except QuadratureLimit as exc:
+        print("limit:", exc)
+""")
+    assert res.returncode == 0, res.stderr
+    lines = res.stdout.splitlines()
+    assert int(lines[0]) > 1000
+    assert all(line.startswith("limit:") for line in lines[1:]), lines
+    assert len(lines) == 4
+
 
 def test_markov_record_fields():
     K = ConvexDomain.unit_disk()
