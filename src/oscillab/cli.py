@@ -326,15 +326,16 @@ def cmd_table(args) -> int:
         except (KeyError, TypeError) as exc:
             raise _InputError(f"invalid search manifest {man_path}: "
                               f"bad or missing field ({exc!r})") from exc
-        q, best = _json_float(q), _json_float(best)
+        q_f, best_f = _json_float(q), _json_float(best)
         if not (type(dom_file) is str and type(n) is int and n >= 1
                 and _json_float(n) is not None
-                and q is not None and q >= 1 and best is not None):
+                and q_f is not None and q_f >= 1 and best_f is not None):
             raise _InputError(f"invalid search manifest {man_path}: need a "
                               f"domain_file path, an integer n >= 1, a number "
                               f"q >= 1 and a number best_M, got "
                               f"domain_file={dom_file!r}, n={n!r}, q={q!r}, "
                               f"best_M={best!r}")
+        q, best = q_f, best_f
         K = _load_domain(dom_file, f"invalid domain in manifest {man_path}")
         d, w = K.diameter, K.width
         rows.append((

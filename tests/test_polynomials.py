@@ -403,8 +403,6 @@ def test_constant_integrand_gives_piece_lengths():
         assert np.allclose(np.exp(masses), lengths, rtol=1e-14, atol=0)
 
 
-# --------------------------------------------------------------- records
-
 def test_quadrature_panel_limit_stops_huge_q(bounded_python):
     # a huge q makes |p|^q a spike the nodes cannot see, and the panels of
     # one level once grew toward 2^26 per piece until memory ran out
@@ -428,6 +426,8 @@ for q in (1e12, 1e100, 1e308):
     assert all(line.startswith("limit:") for line in lines[1:]), lines
     assert len(lines) == 4
 
+
+# --------------------------------------------------------------- records
 
 def test_markov_record_fields():
     K = ConvexDomain.unit_disk()
