@@ -20,12 +20,12 @@ from .polynomials import (
     _adaptive_log_integral,
     _boundary_pieces,
     _grid_max,
+    _log_norms,
     _log_sum,
     log_abs,
     log_derivative,
     lq_norm,
     sup_norm,
-    sup_norms,
 )
 from .sampling import (
     random_convex_polygon,
@@ -79,9 +79,14 @@ class AuditReport:
 # bisection
 _H_MESH = 4096
 
-def h_constant(q: float) -> float:
-    """The threshold multiplier c = (1/2) (8 pi (q+1))^(-1/q)."""
-    return 0.5 * (8 * math.pi * (q + 1)) ** (-1.0 / q)
+def _log_q_root(log_a: float, q: float) -> float:
+    """log (a / (q + 1))^(1/q) from log a, finite at every q; 0 at inf."""
+    return 0.0 if q == math.inf else (log_a - math.log1p(q)) / q
+
+
+def log_h_constant(q: float) -> float:
+    """log of the threshold multiplier c = (1/2) (8 pi (q+1))^(-1/q)."""
+    return math.log(0.5) + _log_q_root(-math.log(8 * math.pi), q)
 
 
 def log_h_threshold(p: RootPolynomial, K: ConvexDomain, q: float,
@@ -89,8 +94,7 @@ def log_h_threshold(p: RootPolynomial, K: ConvexDomain, q: float,
     n = p.n if n is None else n
     if log_sup is None:
         log_sup = sup_norm(p, K).log_value
-    return math.log(h_constant(q)) - (2.0 / q) * math.log(max(n, 1)) \
-        + log_sup
+    return log_h_constant(q) - (2.0 / q) * math.log(max(n, 1)) + log_sup
 
 
 @dataclass(frozen=True)
@@ -177,10 +181,11 @@ def h_set(p: RootPolynomial, K: ConvexDomain, q: float, n: int = None,
           multiplier: float = 1.0) -> HSet:
     """Resolve the set {|p| > c n^(-2/q) |p|_inf} on the boundary and both
     masses, from one integration of |p|^q over boundary pieces cut at the
-    set's endpoints."""
+    set's endpoints; q must be finite."""
     intervals, log_thr = _h_intervals(p, K, q, n, multiplier)
     pieces = _boundary_pieces(K, [s for iv in intervals for s in iv])
-    masses, _ = _adaptive_log_integral(K, lambda z: log_abs(p, z), q, pieces)
+    (masses,), _ = _adaptive_log_integral(K, lambda z: log_abs(p, z), q,
+                                          pieces)
     on_h = _in_intervals(np.array([0.5 * (a + b) for a, b in pieces]),
                          intervals)
     log_on_h = _log_sum(masses[on_h])
@@ -206,7 +211,7 @@ def nikolskii_audit(p: RootPolynomial, K: ConvexDomain, q: float,
     n = max(n, 1)
     log_lhs = lq_norm(p, K, q).log_value
     log_sup = sup_norm(p, K).log_value
-    log_rhs = (math.log(K.diameter / (2 * (q + 1))) / q
+    log_rhs = (_log_q_root(math.log(K.diameter / 2), q)
                + log_sup - (2.0 / q) * math.log(n))
     return AuditReport("nikolskii", log_lhs, log_rhs,
                        detail={"scale": "log", "q": q, "n": n})
@@ -731,8 +736,7 @@ def infnorm_theorem_audit(p: RootPolynomial, K: ConvexDomain
                           ) -> AuditReport:
     """|p'|_inf >= 0.001 (w/d^2) n |p|_inf for roots in K."""
     n = max(p.n, 1)
-    sup_p, sup_dp = sup_norms(p, K)
-    log_dp, log_p = sup_dp.log_value, sup_p.log_value
+    log_p, log_dp = _log_norms(p, K, math.inf)
     coeff = 0.001 * K.width / K.diameter ** 2 * n
     return AuditReport("infnorm", log_dp, math.log(coeff) + log_p,
                        detail={"scale": "log", "n": n, "coeff": coeff})
@@ -750,12 +754,7 @@ def depth_theorem_audit(p: RootPolynomial, K: ConvexDomain, q: float
                            detail=detail)
     coeff = h ** 4 / (3000.0 * K.diameter ** 5) * n
     detail["coeff"] = coeff
-    if q == math.inf:
-        sup_p, sup_dp = sup_norms(p, K)
-        log_p, log_dp = sup_p.log_value, sup_dp.log_value
-    else:
-        log_dp = lq_norm(p, K, q, derivative=True).log_value
-        log_p = lq_norm(p, K, q).log_value
+    log_p, log_dp = _log_norms(p, K, q)
     return AuditReport("depth", log_dp, math.log(coeff) + log_p,
                        detail=detail)
 

@@ -415,7 +415,8 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--r", default=None, type=_checked(
         float, lambda x: 0 < x < math.inf, "a positive finite number"))
     c.add_argument("--n", type=_parse_finite, default=None)
-    c.add_argument("--theta", type=_parse_finite, default=None)
+    c.add_argument("--theta", default=None, type=_checked(
+        float, lambda x: 0 < x < math.pi / 20, "in (0, pi/20)"))
     c.add_argument("--out", default=None)
     c.set_defaults(func=cmd_covering)
 

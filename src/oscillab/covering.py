@@ -32,7 +32,7 @@ from .polynomials import (
     _grid_max,
     _log_sum,
     log_abs,
-    lq_norm,
+    logabs_derivative,
 )
 
 __all__ = [
@@ -512,27 +512,24 @@ def case_split(p: RootPolynomial, K: ConvexDomain, q: float,
                covering: Covering) -> CaseSplit:
     """Decide the integral dichotomy and audit the inequality chain that
     belongs to the active case, asserting each piece only when its gates
-    (degree floor, chord-threshold schedule) actually hold."""
-    if q == math.inf:
-        raise ValueError("the case split integrates |p|^q; q must be finite")
-    if not q >= 1:
-        raise ValueError("q must be at least 1")
+    (degree floor, chord-threshold schedule) actually hold.  q must be
+    finite: the case split integrates |p|^q."""
     n = p.n
     if n < 1:
         raise ValueError("constant polynomial has no oscillation factor")
     d, w, L = K.diameter, K.width, K.perimeter
     r = covering.r
 
-    # one integration of |p|^q over pieces cut at the endpoints of H and of
-    # every component; each mass below sums a subset of the pieces, nested
-    # so that mass(H and covered) <= mass(H) <= total holds exactly
+    # one integration of |p|^q and |p'|^q over pieces cut at the ends of H
+    # and of every component; each mass below sums a subset of the pieces,
+    # nested so that mass(H and covered) <= mass(H) <= total holds exactly
     mp = p.monic()
     h_intervals, _ = _h_intervals(mp, K, q, n=n)
     cov_pieces = covering.intervals()
     cuts = [s for iv in h_intervals + cov_pieces for s in iv]
     pieces = _boundary_pieces(K, cuts)
-    masses, _ = _adaptive_log_integral(K, lambda z: log_abs(mp, z), q,
-                                       pieces)
+    (masses, dp_masses), _ = _adaptive_log_integral(
+        K, lambda z: logabs_derivative(mp, z, with_log_abs=True), q, pieces)
     mids = np.array([0.5 * (a + b) for a, b in pieces])
     in_h = _in_intervals(mids, h_intervals)
     in_cov = _in_intervals(mids, cov_pieces)
@@ -541,7 +538,7 @@ def case_split(p: RootPolynomial, K: ConvexDomain, q: float,
                                     _log_sum(masses[in_h & ~in_cov])))
     log_mass_total = float(np.logaddexp(log_mass_h, _log_sum(masses[~in_h])))
     log_p_norm = log_mass_total / q
-    log_dp_norm = lq_norm(mp, K, q, derivative=True).log_value
+    log_dp_norm = _log_sum(dp_masses) / q
 
     sched = r_schedule(n, K) if n >= 2 else None
     detail = {

@@ -13,10 +13,10 @@ sum 1/(z - r_j).
 A chunk holds about 2^16 (point, root) pairs, roughly 1 MB of complex
 temporaries, so the working set stays inside a 2 MB per-core L2 cache.
 Because the roots axis is never split, a point's value does not depend on
-the batch it arrives in.  The sup norms of p and p' share one dense mesh
-pass (`sup_norms`), which is how M_inf is computed.  Every grid maximizer,
-here and in the audits and the covering, polishes its grid peaks with one
-batched golden-section search (`_grid_max`).
+the batch it arrives in.  `_log_norms` gives the norms of p and p' as a
+pair: sup norms from one dense mesh pass, L^q norms from one panel tree.
+Every grid maximizer, here and in the audits and the covering, polishes its
+grid peaks with one batched golden-section search (`_grid_max`).
 """
 
 from __future__ import annotations
@@ -242,28 +242,36 @@ def _log_sum(values) -> float:
 
 
 def _panel_log_integrals(K, flog, q, a, b):
-    """log of the integral of e^{q flog} over each panel [a_i, b_i] by the
-    16-node Gauss-Legendre rule, from one boundary call and one flog
-    call."""
+    """log of the integral of e^{q f} over each panel [a_i, b_i] by the
+    16-node Gauss-Legendre rule, for every row f that flog returns, as an
+    array (rows, panels), from one boundary call and one flog call.
+    Raises QuadratureLimit when a value of q f is +inf or nan."""
     half = 0.5 * (b - a)
     s = (0.5 * (a + b))[:, None] + half[:, None] * _XG
-    li = q * flog(K.gamma(s.ravel())).reshape(s.shape)
-    m = li.max(axis=1)
+    with np.errstate(over="ignore"):
+        li = q * np.reshape(flog(K.gamma(s.ravel())), (-1,) + s.shape)
+    if not (li < math.inf).all():
+        raise QuadratureLimit(f"q = {q:g}: q log|f| overflows to inf or nan")
+    m = li.max(axis=2)
     shift = np.where(m > -math.inf, m, 0.0)
     with np.errstate(divide="ignore"):
         return m + np.log(np.sum(_WG * half[:, None]
-                                 * np.exp(li - shift[:, None]), axis=1))
+                                 * np.exp(li - shift[..., None]), axis=2))
 
 
 def _adaptive_log_integral(K, flog, q, pieces):
-    """(log of the integral of e^{q flog} over each piece, panel count).
+    """(log of the integral of e^{q f} over each piece for every row f that
+    flog returns, as an array (rows, pieces); panel count).
 
-    Split-and-compare, level by level: every live panel is halved, both
-    halves of all of them come from one boundary call and one flog call,
-    and a panel is accepted when the halves' sum moves its value by under
-    _QUAD_TOL.  At depth _MAX_DEPTH it is accepted without that check.
-    Raises QuadratureLimit when a level has over _MAX_LIVE_PANELS panels
-    to split."""
+    Split-and-compare on one panel tree, level by level: every live panel
+    is halved, both halves of all of them come from one boundary call and
+    one flog call, and a panel is accepted once every row has settled: the
+    halves' sum moves its value by under _QUAD_TOL, or the row is -inf on
+    the panel and both halves.  At depth _MAX_DEPTH it is accepted without
+    that check.  Raises ValueError unless 1 <= q < inf, and QuadratureLimit
+    when a level has over _MAX_LIVE_PANELS panels to split."""
+    if not 1 <= q < math.inf:
+        raise ValueError(f"q = {q}: the quadrature needs a finite q >= 1")
     a = np.array([lo for lo, _ in pieces], dtype=float)
     b = np.array([hi for _, hi in pieces], dtype=float)
     owner = np.arange(len(pieces))
@@ -279,29 +287,38 @@ def _adaptive_log_integral(K, flog, q, pieces):
         mid = 0.5 * (a + b)
         halves = _panel_log_integrals(K, flog, q, np.concatenate([a, mid]),
                                       np.concatenate([mid, b]))
-        left, right = halves[:a.size], halves[a.size:]
+        left, right = halves[:, :a.size], halves[:, a.size:]
         fine = np.logaddexp(left, right)
         live = (fine > -math.inf) | (coarse > -math.inf)
-        with np.errstate(invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
             close = ((fine > -math.inf) & (coarse > -math.inf)
                      & (np.abs(np.expm1(coarse - fine)) <= _QUAD_TOL))
-        accept = live & (close | (depth >= _MAX_DEPTH))
-        kept_owner.append(owner[accept])
-        kept_value.append(fine[accept])
-        split = live & ~accept
+        accept = (~live | close).all(axis=0) | (depth >= _MAX_DEPTH)
+        keep = accept & live.any(axis=0)
+        kept_owner.append(owner[keep])
+        kept_value.append(fine[:, keep])
+        split = ~accept
         panels += 2 * int(split.sum())
         a, mid, b = a[split], mid[split], b[split]
         a, b = np.concatenate([a, mid]), np.concatenate([mid, b])
         owner = np.tile(owner[split], 2)
-        coarse = np.concatenate([left[split], right[split]])
+        coarse = np.concatenate([left[:, split], right[:, split]], axis=1)
         depth += 1
     owner = np.concatenate(kept_owner)
-    value = np.concatenate(kept_value)
-    return (np.array([_log_sum(value[owner == i])
-                      for i in range(len(pieces))]), panels)
+    value = np.concatenate(kept_value, axis=1)
+    return np.array([[_log_sum(v[owner == i]) for i in range(len(pieces))]
+                     for v in value]), panels
 
 
 # ------------------------------------------------------------- sup norm
+
+def _exp_or_inf(x: float) -> float:
+    """e^x, or inf where that overflows."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
 
 @dataclass(frozen=True)
 class SupNorm:
@@ -311,10 +328,7 @@ class SupNorm:
 
     @property
     def value(self) -> float:
-        try:
-            return math.exp(self.log_value)
-        except OverflowError:
-            return math.inf
+        return _exp_or_inf(self.log_value)
 
 
 _INV_GOLD = (math.sqrt(5.0) - 1.0) / 2.0
@@ -435,26 +449,29 @@ class LqNorm:
 
     @property
     def value(self) -> float:
-        try:
-            return math.exp(self.log_value)
-        except OverflowError:
-            return math.inf
+        return _exp_or_inf(self.log_value)
 
 
-def lq_norm(p: RootPolynomial, K: ConvexDomain, q: float,
-            derivative: bool = False) -> LqNorm:
+def lq_norm(p: RootPolynomial, K: ConvexDomain, q: float) -> LqNorm:
     """(integral over the boundary of |p|^q ds)^(1/q); q = inf routes to
-    the sup norm.  Set derivative=True for |p'|."""
-    if not q >= 1:
-        raise ValueError("q must be at least 1 (or inf)")
-    flog = (lambda z: logabs_derivative(p, z)) if derivative \
-        else (lambda z: log_abs(p, z))
+    the sup norm."""
     if q == math.inf:
-        sup = sup_norm(p, K, flog=flog)
-        return LqNorm(math.inf, sup.log_value, 0)
-    log_masses, panels = _adaptive_log_integral(K, flog, q,
-                                                _boundary_pieces(K))
+        return LqNorm(math.inf, sup_norm(p, K).log_value, 0)
+    (log_masses,), panels = _adaptive_log_integral(
+        K, lambda z: log_abs(p, z), q, _boundary_pieces(K))
     return LqNorm(q, _log_sum(log_masses) / q, panels)
+
+
+def _log_norms(p: RootPolynomial, K: ConvexDomain, q: float) -> tuple:
+    """(log |p|_q, log |p'|_q) on the boundary: at q = inf from one sup
+    mesh pass, otherwise from one two-row quadrature on one panel tree."""
+    if q == math.inf:
+        sup_p, sup_dp = sup_norms(p, K)
+        return sup_p.log_value, sup_dp.log_value
+    masses, _ = _adaptive_log_integral(
+        K, lambda z: logabs_derivative(p, z, with_log_abs=True), q,
+        _boundary_pieces(K))
+    return _log_sum(masses[0]) / q, _log_sum(masses[1]) / q
 
 
 @dataclass(frozen=True)
@@ -468,23 +485,15 @@ class MarkovFactor:
 
     @property
     def M(self) -> float:
-        if self.log_norm_dp == -math.inf:
-            return 0.0
         return math.exp(self.log_norm_dp - self.log_norm_p)
 
     @property
     def norm_p(self) -> float:
-        try:
-            return math.exp(self.log_norm_p)
-        except OverflowError:
-            return math.inf
+        return _exp_or_inf(self.log_norm_p)
 
     @property
     def norm_dp(self) -> float:
-        try:
-            return math.exp(self.log_norm_dp)
-        except OverflowError:
-            return math.inf
+        return _exp_or_inf(self.log_norm_dp)
 
     def as_record(self) -> dict:
         return {"q": self.q, "norm_p": self.norm_p,
@@ -496,13 +505,4 @@ def inverse_markov_factor(p: RootPolynomial, K: ConvexDomain, q: float
     """The oscillation factor of p on the boundary of K."""
     if p.lead == 0:
         raise ZeroNorm("polynomial is identically zero")
-    mp = p.monic()
-    if q == math.inf:
-        sup_p, sup_dp = sup_norms(mp, K)
-        return MarkovFactor(q, sup_p.log_value, sup_dp.log_value)
-    log_p = lq_norm(mp, K, q).log_value
-    if mp.n == 0:
-        return MarkovFactor(q, log_p, -math.inf)
-    log_dp = lq_norm(mp, K, q, derivative=True).log_value
-    # the true leading factor shifts both norms by the same log
-    return MarkovFactor(q, log_p, log_dp)
+    return MarkovFactor(q, *_log_norms(p.monic(), K, q))

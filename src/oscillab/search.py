@@ -150,11 +150,12 @@ def _fast_log_M(roots: np.ndarray, zs: np.ndarray, ws: np.ndarray,
     return _log_M_from_sums(*_root_sums(roots, zs, True)[::2], ws, q)
 
 
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def _log_M_from_sums(plog: np.ndarray, inv: np.ndarray, ws: np.ndarray,
                      q: float) -> float:
-    """The value step of _fast_log_M, from the node sums."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        dlog = plog + np.log(np.abs(inv))
+    """The value step of _fast_log_M, from the node sums; nan at a q so
+    huge that q log|p| overflows, which the rescore then rejects."""
+    dlog = plog + np.log(np.abs(inv))
     bad = ~np.isfinite(plog)
     if bad.any():
         plog = np.where(bad, -np.inf, plog)

@@ -18,7 +18,7 @@ from oscillab.audits import (
     chebyshev_floor_check,
     classify_zeros,
     depth_theorem_audit,
-    h_constant,
+    log_h_constant,
     h_point_log_gap,
     h_set,
     infnorm_theorem_audit,
@@ -34,7 +34,8 @@ from oscillab.audits import (
 )
 from oscillab.errors import NotInH, ZeroChord
 from oscillab.geometry import ConvexDomain, margin_tol
-from oscillab.polynomials import RootPolynomial, log_abs, lq_norm, sup_norm
+from oscillab.polynomials import (RootPolynomial, log_abs, logabs_derivative,
+                                  lq_norm, sup_norm)
 from oscillab.sampling import (
     random_domain,
     random_roots_in,
@@ -76,6 +77,16 @@ def test_nikolskii_rejects_underdeclared_degree():
         nikolskii_audit(p, DISK, 2.0, n=1)
 
 
+def test_nikolskii_at_infinite_q_holds_with_equality():
+    # at q = inf both sides are the sup norm: the floor's factor
+    # (d/(2(q+1)))^(1/q) n^(-2/q) tends to 1
+    rng = trial_rng(SEED, 41)
+    p = RootPolynomial(1.0, random_roots_in(SQUARE, 12, rng))
+    rep = nikolskii_audit(p, SQUARE, math.inf)
+    assert rep.lhs == rep.rhs == sup_norm(p, SQUARE).log_value
+    assert rep.passed
+
+
 def test_nikolskii_batch():
     reps = run_batch("nikolskii", 40, SEED)
     assert len(reps) == 40
@@ -95,11 +106,25 @@ def test_h_set_constant_modulus_covers_circle():
     assert rep.margin == pytest.approx(math.log(2.0), abs=1e-8)
 
 
+def test_log_h_constant_at_huge_and_infinite_q():
+    # 8 pi (q + 1) overflows near q = 7e306; the log form does not
+    assert math.isfinite(log_h_constant(1e308))
+    assert log_h_constant(1e308) == pytest.approx(math.log(0.5), abs=1e-300)
+    assert log_h_constant(math.inf) == math.log(0.5)
+    assert log_h_constant(2.0) == pytest.approx(
+        math.log(0.5 * (8 * math.pi * 3.0) ** -0.5), rel=1e-15)
+
+
+def test_h_set_rejects_infinite_q():
+    with pytest.raises(ValueError, match="finite"):
+        h_set(RootPolynomial(1.0, [0j]), DISK, math.inf)
+
+
 def test_h_set_excludes_arc_around_boundary_root():
     # p = z - 1 on the unit circle: |p| = 2 |sin(t/2)|, sup = 2, so the
     # set is t in (2 asin c, 2 pi - 2 asin c) with c the threshold factor
     p = RootPolynomial(1.0, [1 + 0j])
-    c = h_constant(2.0)
+    c = math.exp(log_h_constant(2.0))
     hs = h_set(p, DISK, 2.0)
     a = math.asin(c)
     assert hs.measure == pytest.approx(2 * math.pi - 4 * a, abs=1e-7)
@@ -237,7 +262,7 @@ def test_h_gap_raises_outside_set():
 def test_h_gap_threshold_points_clear_sharp_bound():
     # any point just above the threshold has gap <= log(1/c) + 2 log n,
     # which stays under (107/40) log n for n >= 73 at q = 2
-    c = h_constant(2.0)
+    c = math.exp(log_h_constant(2.0))
     for n in (73, 100, 200):
         gap_max = math.log(1 / c) + 2 * math.log(n)
         assert gap_max <= (107.0 / 40.0) * math.log(n)
@@ -680,7 +705,6 @@ def test_infnorm_monomial_on_disk():
 def test_infnorm_square_corner_polynomial():
     p = RootPolynomial(1.0, [0j, 1 + 0j, 1 + 1j, 1j])
     rep = infnorm_theorem_audit(p, SQUARE)
-    from oscillab.polynomials import logabs_derivative
     oracle = sup_norm(p, SQUARE,
                       flog=lambda z: logabs_derivative(p, z)).log_value
     assert rep.lhs == pytest.approx(oracle, rel=1e-9)
@@ -716,8 +740,9 @@ def test_depth_inf_matches_two_norm_calls():
               ConvexDomain.regular_polygon(6, circumradius=1.0)):
         p = RootPolynomial(1.0, random_roots_in(K, 30, trial_rng(SEED, 7)))
         rep = depth_theorem_audit(p, K, math.inf)
-        log_dp = lq_norm(p, K, math.inf, derivative=True).log_value
-        log_p = lq_norm(p, K, math.inf).log_value
+        log_dp = sup_norm(p, K,
+                          flog=lambda z: logabs_derivative(p, z)).log_value
+        log_p = sup_norm(p, K).log_value
         assert rep.lhs == log_dp
         assert rep.rhs == math.log(rep.detail["coeff"]) + log_p
 

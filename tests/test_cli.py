@@ -327,6 +327,34 @@ def test_covering_non_finite_option_exits_two(domains, argv):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("theta", ["0", "-1", "0.16", "10"])
+def test_covering_tilt_outside_wedge_range_exits_two(domains, theta):
+    # the four-arc bound needs pi/2 - 2 theta > 2 pi/5: 0 < theta < pi/20
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["covering", "--domain", domains["square"],
+                  "--r", "0.001", "--theta", theta])
+    assert exc.value.code == 2
+
+
+def test_covering_small_tilt_runs(domains, tmp_path):
+    assert cli.main(["covering", "--domain", domains["square"], "--r",
+                     "0.001", "--theta", "0.01",
+                     "--out", str(tmp_path)]) == 0
+
+
+def test_audit_constants_at_huge_and_infinite_q(tmp_path):
+    # the floors' constants are taken in log form, finite at q = 1e308
+    # and at their limits at q = inf; the H set integrates |p|^q and
+    # rejects q = inf
+    out = str(tmp_path)
+    assert cli.main(["audit", "nikolskii", "--q", "inf", "--trials", "3",
+                     "--out", out]) == 0
+    assert cli.main(["audit", "hgap", "--q", "1e308", "--trials", "1",
+                     "--out", out]) != 2
+    assert cli.main(["audit", "hset", "--q", "inf", "--trials", "1",
+                     "--out", out]) == 2
+
+
 def test_covering_invalid_exits_five(domains, monkeypatch, capsys):
     def broken(*args, **kwargs):
         raise CoveringInvalid("boundary point neither good nor covered")
@@ -520,4 +548,7 @@ print(cli.main(["audit", "nikolskii", "--q", "1e308", "--trials", "1"]),
 """)
     assert res.returncode == 0, res.stderr
     assert res.stdout.split() == ["2", "2"]
-    assert "panels to split" in res.stderr
+    # q log|p| overflows at the first level, which stops before numpy
+    # computes, or warns about, any nan
+    assert "overflows" in res.stderr
+    assert "RuntimeWarning" not in res.stderr

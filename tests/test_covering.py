@@ -440,9 +440,9 @@ def test_case_split_integrates_each_integrand_once(monkeypatch):
     for module in (covering, polynomials):
         _counting(monkeypatch, module, calls)
     case_split(_belt_polynomial(), SQUARE, 2.0, build_covering(SQUARE, 0.005))
-    # one pass for |p|^q (pieces cut at H and the components), one for
-    # |p'|^q through lq_norm
-    assert sorted(calls) == ["oscillab.covering", "oscillab.polynomials"]
+    # one pass for |p|^q and |p'|^q together, on pieces cut at H and the
+    # components
+    assert calls == ["oscillab.covering"]
 
 
 def test_case_split_masses_are_nested():

@@ -5,15 +5,17 @@ L^q norm is (2*pi)^(1/q) and M_q(z^n) = n exactly; z^2 - 1 integrates by
 hand.  Everything else is checked against dense composite trapezoid sums
 and brute-force meshes."""
 
+import json
 import math
 import warnings
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oscillab.errors import SingularPoint, ZeroNorm
+from oscillab.errors import QuadratureLimit, SingularPoint, ZeroNorm
 from oscillab import polynomials
 from oscillab.geometry import ConvexDomain
 from oscillab.polynomials import (
@@ -134,7 +136,8 @@ def test_quadratic_norms_on_circle():
     assert lq_norm(p, K, 1.0).value == pytest.approx(8.0, rel=1e-7)
     assert lq_norm(p, K, 2.0).value == pytest.approx(
         math.sqrt(4 * math.pi), rel=1e-7)
-    assert lq_norm(p, K, 1.0, derivative=True).value == pytest.approx(
+    # |p'| = 2 on the unit circle
+    assert inverse_markov_factor(p, K, 1.0).norm_dp == pytest.approx(
         4 * math.pi, rel=1e-7)
     assert inverse_markov_factor(p, K, 1.0).M == pytest.approx(
         math.pi / 2, rel=1e-6)
@@ -425,6 +428,115 @@ for q in (1e12, 1e100, 1e308):
     assert int(lines[0]) > 1000
     assert all(line.startswith("limit:") for line in lines[1:]), lines
     assert len(lines) == 4
+    # q = 1e12 stays finite in q log|p| and stops on the panel bound
+    assert "panels to split" in lines[1]
+
+
+def test_quadrature_overflow_raises_before_any_warning():
+    # q log|p| overflows to inf at q = 1e308 where |p| > e^1.8; the
+    # quadrature stops at once instead of comparing nan panel values
+    K = ConvexDomain.unit_square()
+    p = RootPolynomial(1.0, [5.0, 5j])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(QuadratureLimit, match="q = 1e.308.*overflows"):
+            lq_norm(p, K, 1e308)
+
+
+# ------------------------------------------------- one tree for p and p'
+
+REFS = Path(__file__).resolve().parents[1] / "perfbench" / "refs_markov.json"
+
+# the best roots of minimize_oscillation(unit square, SearchConfig(n=16,
+# q=1.0, budget=240, seed=3)): all 16 on the boundary, 9 at corners
+_BOUNDARY_ROOTS = (
+    0j, 1 + 0j, 0.056104319085339416 + 1j, 1 + 1j, 0.37651456896159674 + 0j,
+    0.9984393330896362 + 1j, 1 + 1j, 0j, 1j, 0.45468807968561364 + 0j, 1j,
+    1 + 1j, 1 + 1j, 1 + 0.8562521384771111j, 0.04864885083135917 + 1j, 0j)
+
+
+def _mp_log_norms(roots, K, q):
+    """30-digit (log |p|_q, log |p'|_q) of the monic polynomial on a
+    polygon boundary: one mpmath.quad per edge, split at the foot of every
+    root on it, so no integrand has a kink, or a root nearby, inside a
+    segment."""
+    with mpmath.workdps(30):
+        rs = [mpmath.mpc(r.real, r.imag) for r in roots]
+        mass_p = mass_dp = mpmath.mpf(0)
+        verts = [mpmath.mpc(v.real, v.imag) for v in K.vertices]
+        for za, zb in zip(verts, verts[1:] + verts[:1]):
+            ts = [(r - za) / (zb - za) for r in rs]
+            cuts = sorted({0, 1} | {t.real for t in ts if 0 < t.real < 1})
+
+            def on_edge(t):
+                return [za + t * (zb - za) - r for r in rs]
+            fp = lambda t: mpmath.fprod(abs(d) for d in on_edge(t)) ** q
+            fdp = lambda t: abs(mpmath.fprod(on_edge(t)) * mpmath.fsum(
+                1 / d for d in on_edge(t))) ** q
+            mass_p += mpmath.quad(fp, cuts) * abs(zb - za)
+            mass_dp += mpmath.quad(fdp, cuts) * abs(zb - za)
+        return (float(mpmath.log(mass_p) / q),
+                float(mpmath.log(mass_dp) / q))
+
+
+def test_markov_factor_integrates_once(monkeypatch):
+    calls = []
+    original = polynomials._adaptive_log_integral
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+    monkeypatch.setattr(polynomials, "_adaptive_log_integral", counted)
+    p = RootPolynomial(1.0, [0.3 + 0.2j, 0.7 + 0.6j, 0.5 + 0.5j])
+    inverse_markov_factor(p, ConvexDomain.unit_square(), 2.0)
+    assert len(calls) == 1
+
+
+def test_joint_log_norms_match_mpmath_per_edge():
+    rng = trial_rng(20260818, 40)
+    K = random_convex_polygon(rng, vertices=5)
+    roots = random_roots_in(K, 6, rng)
+    got = polynomials._log_norms(RootPolynomial(1.0, roots), K, 1.0)
+    want = _mp_log_norms(roots, K, 1.0)
+    assert np.allclose(got, want, rtol=0, atol=1e-10), (got, want)
+
+
+def test_markov_factor_with_boundary_roots_matches_mpmath():
+    # |p| has a kink at every boundary root; a panel tree refined for |p|
+    # alone settled too early beside them and read M off by 1.4e-8
+    K = ConvexDomain.unit_square()
+    log_p, log_dp = _mp_log_norms(_BOUNDARY_ROOTS, K, 1.0)
+    M = inverse_markov_factor(RootPolynomial(1.0, _BOUNDARY_ROOTS), K,
+                              1.0).M
+    assert abs(M / math.exp(log_dp - log_p) - 1) <= 1e-10
+
+
+def test_markov_factor_matches_committed_references():
+    # the benchmark's 30-digit references, read only; on
+    # square-equispaced-n64 at q = 1 the separate trees of p and p' differ
+    # (112 and 128 panels)
+    cells = json.loads(REFS.read_text(encoding="utf-8"))["cells"]
+    checked = []
+    for cell in cells:
+        if cell["n"] > 256:
+            continue
+        K = ConvexDomain.from_json(cell["domain"])
+        p = RootPolynomial(1.0, [complex(x, y) for x, y in cell["roots"]])
+        for qname in ("1", "2"):
+            want = float(cell["M"][qname])
+            got = inverse_markov_factor(p, K, float(qname)).M
+            assert abs(got / want - 1) <= 1e-10, (cell["id"], qname, got)
+            checked.append(f"{cell['id']}-q{qname}")
+    assert "square-equispaced-n64-q1" in checked and len(checked) >= 14
+
+
+def test_constant_polynomial_has_zero_markov_factor():
+    K = ConvexDomain.regular_polygon(5)
+    mf = inverse_markov_factor(RootPolynomial(3.0, []), K, 2.0)
+    assert mf.M == 0.0 and mf.log_norm_dp == -math.inf
+    # the p' row is -inf everywhere and leaves the tree to the p row
+    assert mf.log_norm_p == lq_norm(RootPolynomial(1.0, []), K,
+                                    2.0).log_value
 
 
 # --------------------------------------------------------------- records

@@ -45,3 +45,23 @@ def test_quadrature_spans_carry_panels():
     assert polynomials._adaptive_log_integral.__module__ == \
         "oscillab.polynomials"
     assert not hasattr(polynomials._adaptive_log_integral, "__wrapped__")
+
+
+def test_markov_factor_traces_one_quadrature_span():
+    tracing = _tracing_module()
+    K = ConvexDomain.unit_square()
+    p = RootPolynomial(1.0, [0.5 + 0.5j, 0.9 + 0.1j, 0.2 + 0.7j])
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        polynomials.inverse_markov_factor(p, K, 2.0)
+    finally:
+        tracer.uninstall()
+    spans = [rec for rec in tracer.spans
+             if rec[tracing.NAME] == "_adaptive_log_integral"]
+    assert len(spans) == 1
+    # p and p' share one panel tree
+    _, joint = polynomials._adaptive_log_integral(
+        K, lambda z: polynomials.logabs_derivative(p, z, with_log_abs=True),
+        2.0, polynomials._boundary_pieces(K))
+    assert spans[0][tracing.ATTRS]["panels"] == joint
