@@ -14,9 +14,14 @@ A chunk holds about 2^16 (point, root) pairs, roughly 1 MB of complex
 temporaries, so the working set stays inside a 2 MB per-core L2 cache.
 Because the roots axis is never split, a point's value does not depend on
 the batch it arrives in.  `_log_norms` gives the norms of p and p' as a
-pair: sup norms from one dense mesh pass, L^q norms from one panel tree.
-Every grid maximizer, here and in the audits and the covering, polishes its
-grid peaks with one batched golden-section search (`_grid_max`).
+pair: sup norms from one pruned pass over a dense mesh, L^q norms from one
+panel tree.  The sup mesh is cut into blocks of 16 points; one pass over
+the block centres gives exact values there and an upper bound on each
+block, and the kernel then runs only on the blocks whose bound reaches
+the top tier of the centre values, which gives the full mesh's result bit
+for bit.  Every grid maximizer, here and in the audits and the covering,
+polishes its grid peaks with one batched golden-section search
+(`_grid_max`).
 """
 
 from __future__ import annotations
@@ -333,6 +338,8 @@ class SupNorm:
 
 _INV_GOLD = (math.sqrt(5.0) - 1.0) / 2.0
 _GOLDEN_STEPS = 80
+# consecutive mesh points per block of the sup norms' bound pass
+_SUP_BLOCK = 16
 
 
 def _golden_max(f, lo, hi):
@@ -419,22 +426,89 @@ def _mesh_sup(K: ConvexDomain, ss: np.ndarray, vals: np.ndarray,
     return SupNorm(log_value, s, complex(K.gamma(s)))
 
 
-def sup_norm(p: RootPolynomial, K: ConvexDomain, flog=None) -> SupNorm:
-    """Max of |p| (or of e^{flog} when flog is given) over the boundary:
-    dense mesh, then golden-section polish around every local peak in
-    the top tier."""
-    if flog is None:
-        flog = lambda z: log_abs(p, z)
+def _disc_log_bounds(p: RootPolynomial, c: np.ndarray, h: np.ndarray,
+                     derivative: bool) -> list:
+    """Upper bounds of log|p| (and, when derivative is set, of log|p'|)
+    on the discs |z - c_i| <= h_i, as rows:
+        log|lead| + sum_j log(|c - r_j| + h),
+    and for p' the same plus log sum_j 1/(|c - r_j| + h), since
+    |p'(z)| <= sum_j prod_{k != j} |z - r_k|.  With h > 0 neither is
+    singular."""
+    roots = p._root_array
+    logs = np.zeros(c.shape)
+    recips = np.zeros(c.shape)
+    with np.errstate(divide="ignore"):
+        for sl in _point_chunks(c.size, roots.size):
+            t = np.abs(c[sl, None] - roots[None, :]) + h[sl, None]
+            logs[sl] = np.log(t).sum(axis=1)
+            if derivative:
+                recips[sl] = (1.0 / t).sum(axis=1)
+        up = logs + (math.log(abs(p.lead)) if p.lead != 0 else -math.inf)
+        return [up, up + np.log(recips)] if derivative else [up]
+
+
+def _mesh_blocks(zs: np.ndarray) -> tuple:
+    """(block, centre, radius) of the mesh points zs cut into blocks of
+    _SUP_BLOCK consecutive points: each point's block index, and per
+    block a centre c among its points and h = max |z - c| over them."""
+    starts = np.arange(0, zs.size, _SUP_BLOCK)
+    block = np.arange(zs.size) // _SUP_BLOCK
+    centre = zs[np.minimum(starts + _SUP_BLOCK // 2, zs.size - 1)]
+    return (block, centre,
+            np.maximum.reduceat(np.abs(zs - centre[block]), starts))
+
+
+def _pruned_mesh_values(p: RootPolynomial, K: ConvexDomain, ss: np.ndarray,
+                        derivative: bool) -> np.ndarray:
+    """Rows of log|p| (and, when derivative is set, log|p'|) on the mesh
+    ss: the kernel's values on every block of the mesh that may hold a
+    top-tier peak, -inf on the others.
+
+    The blocks of _mesh_blocks lie in the discs of _disc_log_bounds, also
+    where they straddle a vertex.  One kernel pass over the centres gives
+    lb, the best centre value of a row, and a block is skipped when its
+    bound falls below lb - max(2, 1e-6 max(|lb|, |max bound|)), less a
+    rounding margin, in every row.  The mesh max v of a row lies between
+    lb and the max bound, so that threshold is at most _grid_max's
+    top-tier cutoff v - max(2, 1e-6 |v|).  A skipped point is therefore
+    never the argmax nor a candidate, and a kept point at or above the
+    cutoff is a local peak against -inf exactly when it is one against
+    its true neighbour.  The kernel does not depend on the batch, so
+    _mesh_sup gives the same SupNorm as on the full mesh, bit for bit."""
+    zs = K.gamma(ss)
+    block, centre, radius = _mesh_blocks(zs)
+    if derivative:
+        kernel = lambda z: logabs_derivative(p, z, with_log_abs=True)
+    else:
+        kernel = lambda z: (log_abs(p, z),)
+    rows = kernel(centre)
+    keep = np.zeros(centre.size, dtype=bool)
+    for exact, bound in zip(rows, _disc_log_bounds(p, centre, radius,
+                                                   derivative)):
+        lb = exact.max()
+        slack = max(2.0, 1e-6 * max(abs(lb), abs(bound.max())))
+        keep |= ~(bound < lb - slack - 1e-9 * (1.0 + np.abs(bound)))
+    points = np.nonzero(keep[block])[0]
+    vals = np.full((len(rows), ss.size), -math.inf)
+    vals[:, points] = kernel(zs[points])
+    return vals
+
+
+def sup_norm(p: RootPolynomial, K: ConvexDomain) -> SupNorm:
+    """Max of |p| over the boundary: the dense mesh, evaluated only on the
+    blocks whose bound may reach the top tier, then golden-section polish
+    around every local peak in the top tier."""
     ss = _sup_mesh(p, K)
-    return _mesh_sup(K, ss, flog(K.gamma(ss)), flog)
+    (vals,) = _pruned_mesh_values(p, K, ss, False)
+    return _mesh_sup(K, ss, vals, lambda z: log_abs(p, z))
 
 
 def sup_norms(p: RootPolynomial, K: ConvexDomain) -> tuple:
-    """(sup |p|, sup |p'|) over the boundary from one mesh pass of the
-    kernel, each then polished on its own; equal to sup_norm(p, K) and
-    sup_norm(p, K, flog=logabs_derivative) bit for bit."""
+    """(sup |p|, sup |p'|) over the boundary from one pruned mesh pass of
+    the kernel, each then polished on its own; sup |p| equals
+    sup_norm(p, K) bit for bit."""
     ss = _sup_mesh(p, K)
-    vals_p, vals_dp = logabs_derivative(p, K.gamma(ss), with_log_abs=True)
+    vals_p, vals_dp = _pruned_mesh_values(p, K, ss, True)
     return (_mesh_sup(K, ss, vals_p, lambda z: log_abs(p, z)),
             _mesh_sup(K, ss, vals_dp, lambda z: logabs_derivative(p, z)))
 

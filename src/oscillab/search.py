@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .audits import AuditReport
+from .errors import QuadratureLimit
 from .geometry import ConvexDomain
 from .polynomials import RootPolynomial, _root_sums, inverse_markov_factor
 
@@ -153,8 +154,9 @@ def _fast_log_M(roots: np.ndarray, zs: np.ndarray, ws: np.ndarray,
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def _log_M_from_sums(plog: np.ndarray, inv: np.ndarray, ws: np.ndarray,
                      q: float) -> float:
-    """The value step of _fast_log_M, from the node sums; nan at a q so
-    huge that q log|p| overflows, which the rescore then rejects."""
+    """The value step of _fast_log_M, from the node sums.  At a q so huge
+    that q log|p| overflows it is no ratio of L^q norms; _restart_search
+    rejects such a q."""
     dlog = plog + np.log(np.abs(inv))
     bad = ~np.isfinite(plog)
     if bad.any():
@@ -206,6 +208,14 @@ def _restart_search(K, config, restart, budget, zs, ws):
         raise ValueError("infeasible start: a root lies outside K")
     sums = _root_sums(roots, zs, True)[::2]
     cur = _log_M_from_sums(*sums, ws, config.q)
+    # where q log|p| leaves the float range the score is no ratio of L^q
+    # norms, and the rescore could not integrate |p|^q either
+    plog = sums[0][np.isfinite(sums[0])]
+    with np.errstate(over="ignore"):
+        overflows = not np.isfinite(config.q * plog).all()
+    if config.q < math.inf and (overflows or not math.isfinite(cur)):
+        raise QuadratureLimit(f"q = {config.q:g}: q log|p| overflows on "
+                              f"the search quadrature")
     evals = 1
     accepted = 0
     trace = [(0, cur)]
@@ -281,8 +291,6 @@ def minimize_oscillation(K: ConvexDomain,
         for idx, val in trace:
             if val < best_score or not merged:
                 merged.append((offset + idx, math.exp(min(val, best_score))))
-        # a NaN score (q so large that both norms overflow) never compares
-        # below another; the first restart then stands
         if score < best_score or best_roots is None:
             best_roots, best_score = roots, score
         offset += evals

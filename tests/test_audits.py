@@ -34,8 +34,8 @@ from oscillab.audits import (
 )
 from oscillab.errors import NotInH, ZeroChord
 from oscillab.geometry import ConvexDomain, margin_tol
-from oscillab.polynomials import (RootPolynomial, log_abs, logabs_derivative,
-                                  lq_norm, sup_norm)
+from oscillab.polynomials import (RootPolynomial, log_abs, lq_norm,
+                                  sup_norm, sup_norms)
 from oscillab.sampling import (
     random_domain,
     random_roots_in,
@@ -189,8 +189,9 @@ def test_h_set_monotone_in_multiplier():
 
 def _mp_log_mass(p, K, q, intervals):
     """30-digit log of the integral of |p|^q over arclength intervals of a
-    polygon boundary: one mpmath.quad per straight segment, so no
-    integrand has a corner."""
+    polygon boundary: one mpmath.quad per straight segment, split at the
+    foot of every root on it, so no integrand has a corner, or a root
+    nearby, inside a piece."""
     corners = [K.vertex_s(i) for i in range(len(K.vertices))]
     with mpmath.workdps(30):
         roots = [mpmath.mpc(r.real, r.imag) for r in p.roots]
@@ -200,9 +201,11 @@ def _mp_log_mass(p, K, q, intervals):
             for a, b in zip(ends[:-1], ends[1:]):
                 za, zb = (mpmath.mpc(z.real, z.imag)
                           for z in (K.gamma(a), K.gamma(b)))
+                feet = {((r - za) / (zb - za)).real for r in roots}
+                cuts = sorted({0, 1} | {t for t in feet if 0 < t < 1})
                 f = lambda t: mpmath.fprod(abs(za + t * (zb - za) - r) ** q
                                            for r in roots)
-                total += mpmath.quad(f, [0, 1]) * abs(zb - za)
+                total += mpmath.quad(f, cuts) * abs(zb - za)
         return float(mpmath.log(total))
 
 
@@ -221,6 +224,19 @@ def test_h_set_mass_over_corners_matches_mpmath():
     ref_total = _mp_log_mass(p, K, 2.0, [(0.0, K.perimeter)])
     assert abs(math.expm1(hs.log_mass_on_h - ref_h)) <= 1e-9
     assert abs(math.expm1(hs.log_mass_total - ref_total)) <= 1e-9
+
+
+def test_mp_log_mass_with_root_near_an_edge():
+    # a root 0.003 inside a 5-gon's edge; split only at the corners, the
+    # oracle read log|p|_1 3e-7 off the quadrature
+    K = ConvexDomain.regular_polygon(5)
+    roots = list(random_roots_in(K, 5, trial_rng(5, 1)))
+    v0, v1 = K.vertices[0], K.vertices[1]
+    mid = (v0 + v1) / 2
+    roots.append(mid - 0.003 * mid / abs(mid) + 0.1 * (v1 - v0))
+    p = RootPolynomial(1.0, roots)
+    ref = _mp_log_mass(p, K, 1.0, [(0.0, K.perimeter)])
+    assert abs(math.expm1(lq_norm(p, K, 1.0).log_value - ref)) <= 1e-9
 
 
 def test_h_set_integrates_once(monkeypatch):
@@ -705,8 +721,7 @@ def test_infnorm_monomial_on_disk():
 def test_infnorm_square_corner_polynomial():
     p = RootPolynomial(1.0, [0j, 1 + 0j, 1 + 1j, 1j])
     rep = infnorm_theorem_audit(p, SQUARE)
-    oracle = sup_norm(p, SQUARE,
-                      flog=lambda z: logabs_derivative(p, z)).log_value
+    oracle = sup_norms(p, SQUARE)[1].log_value
     assert rep.lhs == pytest.approx(oracle, rel=1e-9)
     assert rep.passed
 
@@ -735,13 +750,13 @@ def test_depth_disk_coefficient():
 
 def test_depth_inf_matches_two_norm_calls():
     # at q = inf the audit takes both sup norms from one mesh pass; the
-    # values must be those of the two separate norm calls, bit for bit
+    # values must be those of sup_norms, and sup |p| that of sup_norm, bit
+    # for bit
     for K in (ConvexDomain.unit_square(),
               ConvexDomain.regular_polygon(6, circumradius=1.0)):
         p = RootPolynomial(1.0, random_roots_in(K, 30, trial_rng(SEED, 7)))
         rep = depth_theorem_audit(p, K, math.inf)
-        log_dp = sup_norm(p, K,
-                          flog=lambda z: logabs_derivative(p, z)).log_value
+        log_dp = sup_norms(p, K)[1].log_value
         log_p = sup_norm(p, K).log_value
         assert rep.lhs == log_dp
         assert rep.rhs == math.log(rep.detail["coeff"]) + log_p

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from oscillab import cli
+from oscillab import cli, search
 from oscillab.audits import AuditReport
 from oscillab.errors import CoveringInvalid
 from oscillab.geometry import ConvexDomain
@@ -536,6 +536,24 @@ def test_fuzzed_numeric_options_exit_without_traceback(domains, argv):
     # crashes
     argv = [domains["square"] if a == _VALID_DOMAIN else a for a in argv]
     assert _exit_code(argv) in (0, 2, 3, 4, 5)
+
+
+def test_search_at_overflowing_q_stops_at_first_score(domains, monkeypatch,
+                                                     capsys):
+    scores, score = [], search._log_M_from_sums
+
+    def counted(*args):
+        scores.append(score(*args))
+        return scores[-1]
+
+    # the first score is finite, but log|p| drops below -1.8 beside the
+    # boundary roots, where 1e308 log|p| overflows; the search once ran
+    # all 50 evaluations and the rescore then stopped on the panel bound
+    monkeypatch.setattr(search, "_log_M_from_sums", counted)
+    assert cli.main(["search", "--domain", domains["square"], "--n", "4",
+                     "--budget", "50", "--q", "1e308"]) == 2
+    assert len(scores) == 1
+    assert "q = 1e+308: q log|p| overflows" in capsys.readouterr().err
 
 
 def test_huge_q_exits_two(bounded_python, domains):

@@ -33,7 +33,8 @@ from oscillab.polynomials import (
     sup_norm,
     sup_norms,
 )
-from oscillab.sampling import random_convex_polygon, random_roots_in, trial_rng
+from oscillab.sampling import (random_convex_polygon, random_roots_in,
+                               random_roots_loose, trial_rng)
 from oscillab.search import reference_families
 
 TWO_PI = 2 * math.pi
@@ -289,13 +290,108 @@ def test_fused_sup_norms_match_separate(K):
     rng = trial_rng(20260818, 33)
     p = RootPolynomial(1.0, random_roots_in(K, 300, rng))
     sup_p, sup_dp = sup_norms(p, K)
-    alone_p = sup_norm(p, K)
-    alone_dp = sup_norm(p, K, flog=lambda z: logabs_derivative(p, z))
-    assert sup_p.log_value == pytest.approx(alone_p.log_value, rel=1e-12)
-    assert sup_dp.log_value == pytest.approx(alone_dp.log_value, rel=1e-12)
-    want = alone_dp.value / alone_p.value
+    assert sup_p == sup_norm(p, K)
+    full_p, full_dp = _full_mesh_sups(p, K)
+    assert (sup_p, sup_dp) == (full_p, full_dp)
+    want = full_dp.value / full_p.value
     assert inverse_markov_factor(p, K, math.inf).M == pytest.approx(
         want, rel=1e-12)
+
+
+def _full_mesh_sups(p, K):
+    """(sup |p|, sup |p'|) from the kernel's values on every mesh point,
+    with no block skipped."""
+    ss = polynomials._sup_mesh(p, K)
+    vals_p, vals_dp = logabs_derivative(p, K.gamma(ss), with_log_abs=True)
+    return (polynomials._mesh_sup(K, ss, vals_p, lambda z: log_abs(p, z)),
+            polynomials._mesh_sup(K, ss, vals_dp,
+                                  lambda z: logabs_derivative(p, z)))
+
+
+def _sup_case(K, rng, n, family):
+    """Roots of degree n on K for the pruning tests: uniform in K, loose
+    around it, on mesh points, or a repeated root at a vertex or the
+    centroid."""
+    if family == "in":
+        return random_roots_in(K, n, rng)
+    if family == "loose":
+        return random_roots_loose(K, n, rng)
+    if family == "mesh":
+        ss = polynomials._sup_mesh(RootPolynomial(1.0, [0j] * n), K)
+        return K.gamma(rng.choice(ss, size=n))
+    if n == 0:
+        return []
+    centroid, _, vertex, _ = reference_families(K, n)
+    return list((vertex if family == "vertex" else centroid).roots)
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.integers(0, 300),
+       st.sampled_from(["in", "loose", "mesh", "vertex", "centroid"]),
+       st.sampled_from([1.0, -2.5 + 1e3j, 1e-7, 0.0]))
+@settings(max_examples=40, deadline=None)
+def test_pruned_sup_norms_equal_full_mesh(seed, n, family, lead):
+    rng = np.random.default_rng(seed)
+    K = (ConvexDomain.disk(complex(*rng.normal(size=2)),
+                           float(rng.uniform(0.5, 2.0)))
+         if rng.uniform() < 0.25
+         else random_convex_polygon(rng, vertices=int(rng.integers(3, 9))))
+    p = RootPolynomial(lead, _sup_case(K, rng, n, family))
+    ss = polynomials._sup_mesh(p, K)
+    full = logabs_derivative(p, K.gamma(ss), with_log_abs=True)
+    pruned = polynomials._pruned_mesh_values(p, K, ss, True)
+    # a point is the kernel's value, or skipped (-inf) and below the
+    # top-tier cutoff of _grid_max
+    for got, want in zip(pruned, full):
+        top = want.max()
+        cutoff = top - max(2.0, 1e-6 * abs(top))
+        skipped = (got == -math.inf) & (want < cutoff)
+        assert np.all((got == want) | skipped)
+    full_p, full_dp = _full_mesh_sups(p, K)
+    assert sup_norm(p, K) == full_p
+    assert sup_norms(p, K) == (full_p, full_dp)
+
+
+@pytest.mark.parametrize("K", [ConvexDomain.regular_polygon(8),
+                               ConvexDomain.regular_polygon(3),
+                               ConvexDomain.unit_disk()],
+                         ids=["octagon", "triangle", "disk"])
+@pytest.mark.parametrize("family", ["in", "loose", "mesh", "vertex"])
+def test_mesh_values_below_block_bounds(K, family):
+    rng = trial_rng(20260818, 41)
+    for n in (1, 7, 120):
+        p = RootPolynomial(0.5 - 2j, _sup_case(K, rng, n, family))
+        zs = K.gamma(polynomials._sup_mesh(p, K))
+        block, centre, radius = polynomials._mesh_blocks(zs)
+        assert np.all(radius > 0)
+        bounds = polynomials._disc_log_bounds(p, centre, radius, True)
+        vals = logabs_derivative(p, zs, with_log_abs=True)
+        # within the rounding margin _pruned_mesh_values allows: at n = 1
+        # the bound of log|p'| is log|lead| + log t + log(1/t), which may
+        # round below the exact log|lead|
+        for row, bound in zip(vals, bounds):
+            bound = bound[block]
+            assert np.all(row <= bound + 1e-9 * (1.0 + np.abs(bound))), (
+                n, family)
+
+
+def test_octagon_n1024_evaluates_few_mesh_points(monkeypatch):
+    cell = next(c for c in json.loads(REFS.read_text(encoding="utf-8"))
+                ["cells"] if c["id"] == "octagon8-n1024")
+    K = ConvexDomain.from_json(cell["domain"])
+    p = RootPolynomial(1.0, [complex(x, y) for x, y in cell["roots"]])
+    ss = polynomials._sup_mesh(p, K)
+    points, sums = [], polynomials._root_sums
+
+    def counted_sums(roots, flat, derivative):
+        points.append(flat.size)
+        return sums(roots, flat, derivative)
+
+    monkeypatch.setattr(polynomials, "_root_sums", counted_sums)
+    vals = polynomials._pruned_mesh_values(p, K, ss, True)
+    # the centres are one point in 16; the kept blocks are far fewer
+    assert len(points) == 2 and points[0] == ss.size // 16
+    assert sum(points) < 0.1 * ss.size
+    assert np.isfinite(vals).any(axis=0).sum() == points[1]
 
 
 def test_batched_golden_max_matches_single_brackets():
@@ -336,8 +432,10 @@ def test_sup_polish_cost_does_not_grow_with_candidates(monkeypatch):
         sup_norm(RootPolynomial(1.0, roots), D)
         calls.append(len(kernel))
     assert brackets == [16, 1]
-    # one mesh pass, then two initial probes and 80 golden steps
-    assert calls == [1 + 82, 1 + 82]
+    # the mesh takes a pass over the block centres (their bounds come from
+    # _disc_log_bounds, not the kernel) and one over the kept blocks; the
+    # polish then takes two initial probes and 80 golden steps
+    assert calls == [2 + 82, 2 + 82]
 
 
 @pytest.mark.parametrize("n", [8, 65])
