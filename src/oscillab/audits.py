@@ -184,8 +184,7 @@ def h_set(p: RootPolynomial, K: ConvexDomain, q: float, n: int = None,
     set's endpoints; q must be finite."""
     intervals, log_thr = _h_intervals(p, K, q, n, multiplier)
     pieces = _boundary_pieces(K, [s for iv in intervals for s in iv])
-    (masses,), _ = _adaptive_log_integral(K, lambda z: log_abs(p, z), q,
-                                          pieces)
+    (masses,), _ = _adaptive_log_integral(p, K, q, pieces, False)
     on_h = _in_intervals(np.array([0.5 * (a + b) for a, b in pieces]),
                          intervals)
     log_on_h = _log_sum(masses[on_h])
@@ -736,7 +735,7 @@ def infnorm_theorem_audit(p: RootPolynomial, K: ConvexDomain
                           ) -> AuditReport:
     """|p'|_inf >= 0.001 (w/d^2) n |p|_inf for roots in K."""
     n = max(p.n, 1)
-    log_p, log_dp = _log_norms(p, K, math.inf)
+    log_p, log_dp, _ = _log_norms(p, K, math.inf)
     coeff = 0.001 * K.width / K.diameter ** 2 * n
     return AuditReport("infnorm", log_dp, math.log(coeff) + log_p,
                        detail={"scale": "log", "n": n, "coeff": coeff})
@@ -754,7 +753,7 @@ def depth_theorem_audit(p: RootPolynomial, K: ConvexDomain, q: float
                            detail=detail)
     coeff = h ** 4 / (3000.0 * K.diameter ** 5) * n
     detail["coeff"] = coeff
-    log_p, log_dp = _log_norms(p, K, q)
+    log_p, log_dp, _ = _log_norms(p, K, q)
     return AuditReport("depth", log_dp, math.log(coeff) + log_p,
                        detail=detail)
 

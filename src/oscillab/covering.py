@@ -32,7 +32,6 @@ from .polynomials import (
     _grid_max,
     _log_sum,
     log_abs,
-    logabs_derivative,
 )
 
 __all__ = [
@@ -528,8 +527,7 @@ def case_split(p: RootPolynomial, K: ConvexDomain, q: float,
     cov_pieces = covering.intervals()
     cuts = [s for iv in h_intervals + cov_pieces for s in iv]
     pieces = _boundary_pieces(K, cuts)
-    (masses, dp_masses), _ = _adaptive_log_integral(
-        K, lambda z: logabs_derivative(mp, z, with_log_abs=True), q, pieces)
+    (masses, dp_masses), _ = _adaptive_log_integral(mp, K, q, pieces, True)
     mids = np.array([0.5 * (a + b) for a, b in pieces])
     in_h = _in_intervals(mids, h_intervals)
     in_cov = _in_intervals(mids, cov_pieces)

@@ -15,13 +15,16 @@ temporaries, so the working set stays inside a 2 MB per-core L2 cache.
 Because the roots axis is never split, a point's value does not depend on
 the batch it arrives in.  `_log_norms` gives the norms of p and p' as a
 pair: sup norms from one pruned pass over a dense mesh, L^q norms from one
-panel tree.  The sup mesh is cut into blocks of 16 points; one pass over
-the block centres gives exact values there and an upper bound on each
-block, and the kernel then runs only on the blocks whose bound reaches
-the top tier of the centre values, which gives the full mesh's result bit
-for bit.  Every grid maximizer, here and in the audits and the covering,
-polishes its grid peaks with one batched golden-section search
-(`_grid_max`).
+panel tree.  Both follow the mass, not the mesh, through the same
+zeroth-order bound of |p| and |p'| on a disc (`_disc_log_bounds`).  The
+quadrature settles a panel whose bound makes it negligible against the
+integral so far, and so refines only where |p|^q is large.  The sup mesh
+is cut into large blocks first, and only the blocks whose bound reaches
+the top tier of the centre values seen so far are cut again, down to
+blocks of 16 points whose points the kernel evaluates; that gives the
+full mesh's result bit for bit.  Every grid maximizer, here and in the
+audits and the covering, polishes its grid peaks with one batched
+golden-section search (`_grid_max`).
 """
 
 from __future__ import annotations
@@ -206,15 +209,46 @@ def logabs_derivative(p: RootPolynomial, z, with_log_abs: bool = False):
     return (la, out) if with_log_abs else out
 
 
+def _log_rows(p: RootPolynomial, derivative: bool):
+    """z -> the rows (log|p|,), or with derivative (log|p|, log|p'|), at
+    the points z from one kernel pass."""
+    if derivative:
+        return lambda z: logabs_derivative(p, z, with_log_abs=True)
+    return lambda z: (log_abs(p, z),)
+
+
+def _disc_log_bounds(p: RootPolynomial, c: np.ndarray, h: np.ndarray,
+                     derivative: bool) -> list:
+    """Upper bounds of log|p| (and, when derivative is set, of log|p'|)
+    on the discs |z - c_i| <= h_i, as rows:
+        log|lead| + sum_j log(|c - r_j| + h),
+    and for p' the same plus log sum_j 1/(|c - r_j| + h), since
+    |p'(z)| <= sum_j prod_{k != j} |z - r_k|.  With h > 0 neither is
+    singular."""
+    roots = p._root_array
+    logs = np.zeros(c.shape)
+    recips = np.zeros(c.shape)
+    with np.errstate(divide="ignore"):
+        for sl in _point_chunks(c.size, roots.size):
+            t = np.abs(c[sl, None] - roots[None, :]) + h[sl, None]
+            logs[sl] = np.log(t).sum(axis=1)
+            if derivative:
+                recips[sl] = (1.0 / t).sum(axis=1)
+        up = logs + (math.log(abs(p.lead)) if p.lead != 0 else -math.inf)
+        return [up, up + np.log(recips)] if derivative else [up]
+
+
 # ------------------------------------------------------------- quadrature
 
-# split-and-compare accepts a panel when halving it moves its value by under
-# _QUAD_TOL (relative), and at depth _MAX_DEPTH with no check
+# a row settles on a panel when halving the panel moves its value by under
+# _QUAD_TOL (relative), or when the panel's disc bound caps its share of the
+# row's total at _NEGLIGIBLE; a panel still unsettled at depth _MAX_DEPTH
+# raises QuadratureLimit
 _QUAD_TOL = 1e-8
+_NEGLIGIBLE = 1e-13
 _MAX_DEPTH = 26
 # live panels one level may split: their 2^21 half-panel nodes take about
-# 150 MB of temporaries.  Only a huge q (about 3e5 for three roots in the
-# unit square) makes e^{q flog} a spike this hard to resolve.
+# 150 MB of temporaries
 _MAX_LIVE_PANELS = 1 << 16
 
 
@@ -246,15 +280,22 @@ def _log_sum(values) -> float:
     return float(top + np.log(np.sum(np.exp(values - top))))
 
 
+def _row_log_sums(values: np.ndarray) -> np.ndarray:
+    """log sum exp along each row of values (rows, k); -inf for k = 0."""
+    return np.logaddexp.reduce(values, axis=1, initial=-math.inf)
+
+
 def _panel_log_integrals(K, flog, q, a, b):
     """log of the integral of e^{q f} over each panel [a_i, b_i] by the
-    16-node Gauss-Legendre rule, for every row f that flog returns, as an
-    array (rows, panels), from one boundary call and one flog call.
+    16-node Gauss-Legendre rule, for every row f in the sequence that flog
+    returns, as an array (rows, panels), from one boundary call and one
+    flog call.
     Raises QuadratureLimit when a value of q f is +inf or nan."""
     half = 0.5 * (b - a)
     s = (0.5 * (a + b))[:, None] + half[:, None] * _XG
+    rows = flog(K.gamma(s.ravel()))
     with np.errstate(over="ignore"):
-        li = q * np.reshape(flog(K.gamma(s.ravel())), (-1,) + s.shape)
+        li = q * np.reshape(rows, (len(rows),) + s.shape)
     if not (li < math.inf).all():
         raise QuadratureLimit(f"q = {q:g}: q log|f| overflows to inf or nan")
     m = li.max(axis=2)
@@ -264,25 +305,39 @@ def _panel_log_integrals(K, flog, q, a, b):
                                  * np.exp(li - shift[..., None]), axis=2))
 
 
-def _adaptive_log_integral(K, flog, q, pieces):
-    """(log of the integral of e^{q f} over each piece for every row f that
-    flog returns, as an array (rows, pieces); panel count).
+def _adaptive_log_integral(p: RootPolynomial, K: ConvexDomain, q: float,
+                           pieces, derivative: bool):
+    """(log of the integral of |p|^q, and when derivative is set also of
+    |p'|^q, over each piece, as an array (rows, pieces); panel count).
 
-    Split-and-compare on one panel tree, level by level: every live panel
-    is halved, both halves of all of them come from one boundary call and
-    one flog call, and a panel is accepted once every row has settled: the
-    halves' sum moves its value by under _QUAD_TOL, or the row is -inf on
-    the panel and both halves.  At depth _MAX_DEPTH it is accepted without
-    that check.  Raises ValueError unless 1 <= q < inf, and QuadratureLimit
-    when a level has over _MAX_LIVE_PANELS panels to split."""
+    One panel tree, level by level: both halves of every live panel come
+    from one boundary call and one kernel call.  A row settles on a panel
+    when the halves' sum moves the panel's value by under _QUAD_TOL, when
+    the row is -inf on the panel and both halves, or when the panel is
+    negligible:
+        log(b - a) + q * (the row's _disc_log_bounds bound) <= log T,
+    with T = _NEGLIGIBLE times a running lower estimate of the row's total.
+    The disc is centred at gamma(mid) with radius (b - a)/2; a panel never
+    spans a vertex and a chord is no longer than its arc, so the disc holds
+    the panel.  The estimate sums the accepted panels and, for each panel
+    still split, the smaller of its value and its halves' sum; it starts at
+    zero, so the first level certifies nothing.  A panel is accepted once
+    every row has settled, and one that is negligible in every row keeps
+    its own value, with no half evaluated.  Raises ValueError unless
+    1 <= q < inf, and QuadratureLimit when a level has over
+    _MAX_LIVE_PANELS panels to split or a panel is unsettled at depth
+    _MAX_DEPTH."""
     if not 1 <= q < math.inf:
         raise ValueError(f"q = {q}: the quadrature needs a finite q >= 1")
+    flog = _log_rows(p, derivative)
     a = np.array([lo for lo, _ in pieces], dtype=float)
     b = np.array([hi for _, hi in pieces], dtype=float)
     owner = np.arange(len(pieces))
     coarse = _panel_log_integrals(K, flog, q, a, b)
     panels = len(pieces)
     kept_owner, kept_value = [], []
+    kept_total = np.full(coarse.shape[0], -math.inf)
+    log_floor = np.full(coarse.shape[0], -math.inf)
     depth = 0
     while a.size:
         if a.size > _MAX_LIVE_PANELS:
@@ -290,29 +345,60 @@ def _adaptive_log_integral(K, flog, q, pieces):
                 f"q = {q:g}: {a.size} panels to split at depth {depth}, "
                 f"over the limit of {_MAX_LIVE_PANELS}")
         mid = 0.5 * (a + b)
+        # the bound is never below the panel's value, so only a panel whose
+        # value is below the floor in some row can be negligible in it
+        negligible = coarse <= log_floor[:, None]
+        cand = negligible.any(axis=0)
+        if cand.any():
+            bounds = _disc_log_bounds(p, K.gamma(mid[cand]),
+                                      0.5 * (b[cand] - a[cand]), derivative)
+            with np.errstate(over="ignore"):
+                negligible[:, cand] = (np.log(b[cand] - a[cand])
+                                       + q * np.array(bounds)
+                                       <= log_floor[:, None])
+            # a panel negligible in every row keeps its own value unhalved
+            skip = negligible.all(axis=0)
+            if skip.any():
+                kept_owner.append(owner[skip])
+                kept_value.append(coarse[:, skip])
+                kept_total = np.logaddexp(kept_total,
+                                          _row_log_sums(coarse[:, skip]))
+                a, mid, b, owner = a[~skip], mid[~skip], b[~skip], owner[~skip]
+                coarse, negligible = coarse[:, ~skip], negligible[:, ~skip]
         halves = _panel_log_integrals(K, flog, q, np.concatenate([a, mid]),
                                       np.concatenate([mid, b]))
         left, right = halves[:, :a.size], halves[:, a.size:]
         fine = np.logaddexp(left, right)
-        live = (fine > -math.inf) | (coarse > -math.inf)
         with np.errstate(over="ignore", invalid="ignore"):
-            close = ((fine > -math.inf) & (coarse > -math.inf)
-                     & (np.abs(np.expm1(coarse - fine)) <= _QUAD_TOL))
-        accept = (~live | close).all(axis=0) | (depth >= _MAX_DEPTH)
-        keep = accept & live.any(axis=0)
-        kept_owner.append(owner[keep])
-        kept_value.append(fine[:, keep])
-        split = ~accept
+            settled = (negligible | (np.abs(np.expm1(coarse - fine))
+                                     <= _QUAD_TOL)
+                       | ((fine == -math.inf) & (coarse == -math.inf)))
+        split = ~settled.all(axis=0)
+        if depth >= _MAX_DEPTH and split.any():
+            raise QuadratureLimit(
+                f"q = {q:g}: {int(split.sum())} panels unsettled at depth "
+                f"{depth}")
+        kept_owner.append(owner[~split])
+        kept_value.append(fine[:, ~split])
+        kept_total = np.logaddexp(kept_total, _row_log_sums(fine[:, ~split]))
+        log_floor = math.log(_NEGLIGIBLE) + np.logaddexp(
+            kept_total, _row_log_sums(np.minimum(coarse, fine)[:, split]))
         panels += 2 * int(split.sum())
         a, mid, b = a[split], mid[split], b[split]
         a, b = np.concatenate([a, mid]), np.concatenate([mid, b])
         owner = np.tile(owner[split], 2)
         coarse = np.concatenate([left[:, split], right[:, split]], axis=1)
         depth += 1
+    # per piece and row: log sum exp of its kept panels' values
     owner = np.concatenate(kept_owner)
     value = np.concatenate(kept_value, axis=1)
-    return np.array([[_log_sum(v[owner == i]) for i in range(len(pieces))]
-                     for v in value]), panels
+    top = np.full((len(pieces), value.shape[0]), -math.inf)
+    np.maximum.at(top, owner, value.T)
+    shift = np.where(top > -math.inf, top, 0.0)
+    total = np.zeros(top.shape)
+    np.add.at(total, owner, np.exp(value.T - shift[owner]))
+    with np.errstate(divide="ignore"):
+        return (shift + np.log(total)).T, panels
 
 
 # ------------------------------------------------------------- sup norm
@@ -338,8 +424,11 @@ class SupNorm:
 
 _INV_GOLD = (math.sqrt(5.0) - 1.0) / 2.0
 _GOLDEN_STEPS = 80
-# consecutive mesh points per block of the sup norms' bound pass
+# consecutive mesh points per block of the sup norms' finest bound level,
+# and the ratio of block sizes between levels
 _SUP_BLOCK = 16
+# fewest blocks the coarsest level of the bound pass may have
+_SUP_COARSE_BLOCKS = 64
 
 
 def _golden_max(f, lo, hi):
@@ -426,36 +515,14 @@ def _mesh_sup(K: ConvexDomain, ss: np.ndarray, vals: np.ndarray,
     return SupNorm(log_value, s, complex(K.gamma(s)))
 
 
-def _disc_log_bounds(p: RootPolynomial, c: np.ndarray, h: np.ndarray,
-                     derivative: bool) -> list:
-    """Upper bounds of log|p| (and, when derivative is set, of log|p'|)
-    on the discs |z - c_i| <= h_i, as rows:
-        log|lead| + sum_j log(|c - r_j| + h),
-    and for p' the same plus log sum_j 1/(|c - r_j| + h), since
-    |p'(z)| <= sum_j prod_{k != j} |z - r_k|.  With h > 0 neither is
-    singular."""
-    roots = p._root_array
-    logs = np.zeros(c.shape)
-    recips = np.zeros(c.shape)
-    with np.errstate(divide="ignore"):
-        for sl in _point_chunks(c.size, roots.size):
-            t = np.abs(c[sl, None] - roots[None, :]) + h[sl, None]
-            logs[sl] = np.log(t).sum(axis=1)
-            if derivative:
-                recips[sl] = (1.0 / t).sum(axis=1)
-        up = logs + (math.log(abs(p.lead)) if p.lead != 0 else -math.inf)
-        return [up, up + np.log(recips)] if derivative else [up]
-
-
-def _mesh_blocks(zs: np.ndarray) -> tuple:
-    """(block, centre, radius) of the mesh points zs cut into blocks of
-    _SUP_BLOCK consecutive points: each point's block index, and per
-    block a centre c among its points and h = max |z - c| over them."""
-    starts = np.arange(0, zs.size, _SUP_BLOCK)
-    block = np.arange(zs.size) // _SUP_BLOCK
-    centre = zs[np.minimum(starts + _SUP_BLOCK // 2, zs.size - 1)]
-    return (block, centre,
-            np.maximum.reduceat(np.abs(zs - centre[block]), starts))
+def _mesh_blocks(zs: np.ndarray, starts: np.ndarray, size: int) -> tuple:
+    """(centre, radius) of the blocks of `size` consecutive mesh points zs
+    from each index in starts (a block stops at the end of the mesh): a
+    centre c among the block's points and h = max |z - c| over them."""
+    last = np.minimum(starts + size, zs.size) - 1
+    centre = zs[np.minimum(starts + size // 2, last)]
+    points = np.minimum(starts[:, None] + np.arange(size), last[:, None])
+    return centre, np.abs(zs[points] - centre[:, None]).max(axis=1)
 
 
 def _pruned_mesh_values(p: RootPolynomial, K: ConvexDomain, ss: np.ndarray,
@@ -464,32 +531,49 @@ def _pruned_mesh_values(p: RootPolynomial, K: ConvexDomain, ss: np.ndarray,
     ss: the kernel's values on every block of the mesh that may hold a
     top-tier peak, -inf on the others.
 
-    The blocks of _mesh_blocks lie in the discs of _disc_log_bounds, also
-    where they straddle a vertex.  One kernel pass over the centres gives
-    lb, the best centre value of a row, and a block is skipped when its
-    bound falls below lb - max(2, 1e-6 max(|lb|, |max bound|)), less a
-    rounding margin, in every row.  The mesh max v of a row lies between
-    lb and the max bound, so that threshold is at most _grid_max's
-    top-tier cutoff v - max(2, 1e-6 |v|).  A skipped point is therefore
-    never the argmax nor a candidate, and a kept point at or above the
-    cutoff is a local peak against -inf exactly when it is one against
-    its true neighbour.  The kernel does not depend on the batch, so
-    _mesh_sup gives the same SupNorm as on the full mesh, bit for bit."""
+    Coarse to fine: the first level cuts the mesh into aligned blocks of
+    _SUP_BLOCK^k points, the largest such size that leaves at least
+    _SUP_COARSE_BLOCKS blocks (k = 1, a single level, on a smaller mesh).
+    At each level one kernel pass over the block centres raises lb, the
+    best centre value of a row seen so far, and a block is dropped when
+    its _disc_log_bounds bound falls below
+    lb - max(2, 1e-6 max(|lb|, |max bound|)), less a rounding margin, in
+    every row; the others are cut into _SUP_BLOCK blocks for the next
+    level, down to blocks of _SUP_BLOCK points, whose points the kernel
+    then evaluates.  A block lies in its disc, also where it straddles a
+    vertex.  The mesh max v of a row lies in a block kept at every level,
+    so v lies between lb and the max bound of each level, and the
+    threshold is at most _grid_max's top-tier cutoff
+    v - max(2, 1e-6 |v|).  A skipped point is therefore never the argmax
+    nor a candidate, and a kept point at or above the cutoff is a local
+    peak against -inf exactly when it is one against its true neighbour.
+    The kernel does not depend on the batch, so _mesh_sup gives the same
+    SupNorm as on the full mesh, bit for bit."""
     zs = K.gamma(ss)
-    block, centre, radius = _mesh_blocks(zs)
-    if derivative:
-        kernel = lambda z: logabs_derivative(p, z, with_log_abs=True)
-    else:
-        kernel = lambda z: (log_abs(p, z),)
-    rows = kernel(centre)
-    keep = np.zeros(centre.size, dtype=bool)
-    for exact, bound in zip(rows, _disc_log_bounds(p, centre, radius,
-                                                   derivative)):
-        lb = exact.max()
-        slack = max(2.0, 1e-6 * max(abs(lb), abs(bound.max())))
-        keep |= ~(bound < lb - slack - 1e-9 * (1.0 + np.abs(bound)))
-    points = np.nonzero(keep[block])[0]
-    vals = np.full((len(rows), ss.size), -math.inf)
+    kernel = _log_rows(p, derivative)
+    size = _SUP_BLOCK
+    while zs.size >= _SUP_COARSE_BLOCKS * size * _SUP_BLOCK:
+        size *= _SUP_BLOCK
+    starts = np.arange(0, zs.size, size)
+    lb = np.full(2 if derivative else 1, -math.inf)
+    while True:
+        centre, radius = _mesh_blocks(zs, starts, size)
+        keep = np.zeros(starts.size, dtype=bool)
+        for i, (exact, bound) in enumerate(zip(
+                kernel(centre),
+                _disc_log_bounds(p, centre, radius, derivative))):
+            lb[i] = max(lb[i], exact.max())
+            slack = max(2.0, 1e-6 * max(abs(lb[i]), abs(bound.max())))
+            keep |= ~(bound < lb[i] - slack - 1e-9 * (1.0 + np.abs(bound)))
+        starts = starts[keep]
+        if size == _SUP_BLOCK:
+            break
+        size //= _SUP_BLOCK
+        starts = (starts[:, None] + size * np.arange(_SUP_BLOCK)).ravel()
+        starts = starts[starts < zs.size]
+    points = (starts[:, None] + np.arange(_SUP_BLOCK)).ravel()
+    points = points[points < zs.size]
+    vals = np.full((lb.size, ss.size), -math.inf)
     vals[:, points] = kernel(zs[points])
     return vals
 
@@ -532,30 +616,32 @@ def lq_norm(p: RootPolynomial, K: ConvexDomain, q: float) -> LqNorm:
     if q == math.inf:
         return LqNorm(math.inf, sup_norm(p, K).log_value, 0)
     (log_masses,), panels = _adaptive_log_integral(
-        K, lambda z: log_abs(p, z), q, _boundary_pieces(K))
+        p, K, q, _boundary_pieces(K), False)
     return LqNorm(q, _log_sum(log_masses) / q, panels)
 
 
 def _log_norms(p: RootPolynomial, K: ConvexDomain, q: float) -> tuple:
-    """(log |p|_q, log |p'|_q) on the boundary: at q = inf from one sup
-    mesh pass, otherwise from one two-row quadrature on one panel tree."""
+    """(log |p|_q, log |p'|_q, panels) on the boundary: at q = inf from one
+    sup mesh pass, with no panel, otherwise from one two-row quadrature on
+    one panel tree."""
     if q == math.inf:
         sup_p, sup_dp = sup_norms(p, K)
-        return sup_p.log_value, sup_dp.log_value
-    masses, _ = _adaptive_log_integral(
-        K, lambda z: logabs_derivative(p, z, with_log_abs=True), q,
-        _boundary_pieces(K))
-    return _log_sum(masses[0]) / q, _log_sum(masses[1]) / q
+        return sup_p.log_value, sup_dp.log_value, 0
+    masses, panels = _adaptive_log_integral(p, K, q, _boundary_pieces(K),
+                                            True)
+    return _log_sum(masses[0]) / q, _log_sum(masses[1]) / q, panels
 
 
 @dataclass(frozen=True)
 class MarkovFactor:
     """M_q(p) = |p'|_q / |p|_q on the boundary, computed on the monic
-    normalization so the answer is exactly scale invariant."""
+    normalization so the answer is exactly scale invariant.  panels is the
+    quadrature's panel count, 0 at q = inf; as_record leaves it out."""
 
     q: float
     log_norm_p: float
     log_norm_dp: float
+    panels: int
 
     @property
     def M(self) -> float:

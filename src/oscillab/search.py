@@ -21,7 +21,8 @@ import numpy as np
 from .audits import AuditReport
 from .errors import QuadratureLimit
 from .geometry import ConvexDomain
-from .polynomials import RootPolynomial, _root_sums, inverse_markov_factor
+from .polynomials import (_QUAD_TOL, RootPolynomial, _root_sums,
+                          inverse_markov_factor)
 
 __all__ = [
     "SearchConfig",
@@ -216,6 +217,16 @@ def _restart_search(K, config, restart, budget, zs, ws):
     if config.q < math.inf and (overflows or not math.isfinite(cur)):
         raise QuadratureLimit(f"q = {config.q:g}: q log|p| overflows on "
                               f"the search quadrature")
+    # where q log|p| or q log|p'| rounds by _QUAD_TOL at its peak, the
+    # rescore's panels there may never settle: rescore the first start
+    # before spending the budget, so a q it cannot integrate stops here
+    with np.errstate(divide="ignore"):
+        rows = (sums[0], sums[0] + np.log(np.abs(sums[1])))
+    peak = max((abs(float(v[np.isfinite(v)].max())) for v in rows
+                if np.isfinite(v).any()), default=0.0)
+    if (restart == 0 and config.q < math.inf
+            and config.q * peak * np.finfo(float).eps >= _QUAD_TOL):
+        inverse_markov_factor(RootPolynomial(1.0, tuple(roots)), K, config.q)
     evals = 1
     accepted = 0
     trace = [(0, cur)]

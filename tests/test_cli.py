@@ -556,6 +556,23 @@ def test_search_at_overflowing_q_stops_at_first_score(domains, monkeypatch,
     assert "q = 1e+308: q log|p| overflows" in capsys.readouterr().err
 
 
+def test_search_at_unintegrable_q_stops_at_first_score(domains, monkeypatch,
+                                                       capsys):
+    # q log|p| stays finite at q = 1e300, but the rescore cannot resolve
+    # |p|^q; the search once spent all 50 evaluations before finding out
+    scores, score = [], search._log_M_from_sums
+
+    def counted(*args):
+        scores.append(score(*args))
+        return scores[-1]
+
+    monkeypatch.setattr(search, "_log_M_from_sums", counted)
+    assert cli.main(["search", "--domain", domains["square"], "--n", "4",
+                     "--budget", "50", "--q", "1e300"]) == 2
+    assert len(scores) == 1
+    assert "q = 1e+300:" in capsys.readouterr().err
+
+
 def test_huge_q_exits_two(bounded_python, domains):
     # q = 1e308 once grew the quadrature until the process was killed
     res = bounded_python(f"""

@@ -429,9 +429,9 @@ def test_case_split_rejects_sup_norm():
 def _counting(monkeypatch, module, calls):
     original = module._adaptive_log_integral
 
-    def counted(K, flog, q, pieces):
-        calls.append(module.__name__)
-        return original(K, flog, q, pieces)
+    def counted(p, K, q, pieces, derivative):
+        calls.append((module.__name__, derivative))
+        return original(p, K, q, pieces, derivative)
     monkeypatch.setattr(module, "_adaptive_log_integral", counted)
 
 
@@ -442,7 +442,7 @@ def test_case_split_integrates_each_integrand_once(monkeypatch):
     case_split(_belt_polynomial(), SQUARE, 2.0, build_covering(SQUARE, 0.005))
     # one pass for |p|^q and |p'|^q together, on pieces cut at H and the
     # components
-    assert calls == ["oscillab.covering"]
+    assert calls == [("oscillab.covering", True)]
 
 
 def test_case_split_masses_are_nested():

@@ -171,6 +171,26 @@ def _exhaustive_symmetric_grid(K, q):
     return inverse_markov_factor(RootPolynomial(1.0, best_roots), K, q).M
 
 
+def test_search_at_q_two_rescores_once(monkeypatch):
+    # the first start is rescored early only at a q where q log|p| rounds
+    # by the quadrature's tolerance; at q = 2 the final rescore is the one
+    # quadrature of a search
+    from oscillab import polynomials
+    calls = []
+    original = polynomials._adaptive_log_integral
+
+    def counted(*args):
+        calls.append(args[2])
+        return original(*args)
+    monkeypatch.setattr(polynomials, "_adaptive_log_integral", counted)
+    rect = ConvexDomain.polygon([0, 3, 3 + 1j, 1j])
+    for i, K in enumerate((DISK, SQUARE, rect)):
+        calls.clear()
+        minimize_oscillation(K, SearchConfig(n=16, q=2.0, budget=240,
+                                             seed=SEED + i))
+        assert calls == [2.0]
+
+
 def test_infeasible_start_raises(monkeypatch):
     # the start check is a real check, not an assert that -O removes
     monkeypatch.setattr(search, "_init_roots",

@@ -62,6 +62,5 @@ def test_markov_factor_traces_one_quadrature_span():
     assert len(spans) == 1
     # p and p' share one panel tree
     _, joint = polynomials._adaptive_log_integral(
-        K, lambda z: polynomials.logabs_derivative(p, z, with_log_abs=True),
-        2.0, polynomials._boundary_pieces(K))
+        p, K, 2.0, polynomials._boundary_pieces(K), True)
     assert spans[0][tracing.ATTRS]["panels"] == joint
