@@ -220,7 +220,7 @@ def _restart_search(K, config, restart, budget, zs, ws):
     # where q log|p| or q log|p'| rounds by _QUAD_TOL at its peak, the
     # rescore's panels there may never settle: rescore the first start
     # before spending the budget, so a q it cannot integrate stops here
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):
         rows = (sums[0], sums[0] + np.log(np.abs(sums[1])))
     peak = max((abs(float(v[np.isfinite(v)].max())) for v in rows
                 if np.isfinite(v).any()), default=0.0)

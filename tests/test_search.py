@@ -191,6 +191,16 @@ def test_search_at_q_two_rescores_once(monkeypatch):
         assert calls == [2.0]
 
 
+def test_root_on_a_node_starts_without_warnings():
+    # the disk's first node is gamma(0); a root there makes log|p| -inf and
+    # p'/p infinite at that node, which the first score and the rescore
+    # check both skip
+    res = minimize_oscillation(DISK, SearchConfig(
+        n=3, q=2.0, budget=30, seed=SEED, restarts=1, init="user",
+        init_roots=(complex(DISK.gamma(0.0)), 0.5j, -0.5)))
+    assert math.isfinite(res.best_M)
+
+
 def test_infeasible_start_raises(monkeypatch):
     # the start check is a real check, not an assert that -O removes
     monkeypatch.setattr(search, "_init_roots",
