@@ -348,7 +348,7 @@ def test_pruned_sup_norms_equal_full_mesh(seed, n, coarse, family, lead):
          if rng.uniform() < 0.25
          else random_convex_polygon(rng, vertices=int(rng.integers(3, 9))))
     if coarse:
-        # a mesh of 16 384 to 21 000 points, with one coarse level
+        # a mesh of 16 384 to 36 000 points, with one coarse level
         n = _coarse_degree(K) + n
     p = RootPolynomial(lead, _sup_case(K, rng, n, family))
     ss = polynomials._sup_mesh(p, K)

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from oscillab import search
+from oscillab import polynomials, search
 from oscillab.geometry import ConvexDomain
 from oscillab.polynomials import RootPolynomial, inverse_markov_factor
 from oscillab.search import (
@@ -175,7 +175,6 @@ def test_search_at_q_two_rescores_once(monkeypatch):
     # the first start is rescored early only at a q where q log|p| rounds
     # by the quadrature's tolerance; at q = 2 the final rescore is the one
     # quadrature of a search
-    from oscillab import polynomials
     calls = []
     original = polynomials._adaptive_log_integral
 
