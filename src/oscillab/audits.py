@@ -248,16 +248,13 @@ def chebyshev_floor(J_length: float, k: int) -> float:
     return 2.0 * (J_length / 4.0) ** k
 
 
-def _segment_sup_product(ws: np.ndarray, half: float, grid: int = 2049,
-                         polish: bool = True) -> float:
+def _segment_sup_product(ws: np.ndarray, half: float,
+                         grid: int = 2049) -> float:
     """Sup of |prod (x - w_j)| over x in [-half, half], grid plus golden
     polish around the best grid point."""
     xs = np.linspace(-half, half, grid)
     f = lambda x: np.abs(x[:, None] - ws[None, :]).prod(axis=1)
-    vals = f(xs)
-    if not polish:
-        return float(vals[int(np.argmax(vals))])
-    return _grid_max(f, xs, vals)[1]
+    return _grid_max(f, xs, f(xs))[1]
 
 
 def chebyshev_floor_check(J_length: float, k: int, trials: int = 20,
@@ -270,12 +267,21 @@ def chebyshev_floor_check(J_length: float, k: int, trials: int = 20,
     nodes = half * np.cos((2 * np.arange(1, k + 1) - 1) * math.pi / (2 * k))
     attained = _segment_sup_product(nodes.astype(complex), half)
     best = attained
+    # descent navigates on a coarse grid; the final configuration is
+    # re-measured accurately before it can count
+    xs = np.linspace(-half, half, 257)
     for _ in range(trials):
         ws = (rng.uniform(-half, half, size=k)
               + 1j * rng.normal(0, half / 2, size=k))
-        # descent navigates on a coarse grid; the final configuration is
-        # re-measured accurately before it can count
-        cur = _segment_sup_product(ws, half, grid=257, polish=False)
+        # the columns |x - w_i| and their prefix products; a move of root j
+        # scores (prefix_j |x - w_j'|) col_{j+1} ... col_{k-1}, multiplied
+        # left to right as prod(axis=1) does, so every value is the full
+        # product's
+        cols = np.abs(xs[None, :] - ws[:, None])
+        prefix = np.ones((k + 1, xs.size))
+        for i in range(k):
+            prefix[i + 1] = prefix[i] * cols[i]
+        cur = prefix[k].max()
         step = half / 4
         sweeps = 0
         while step > 1e-6 * half and sweeps < 60:
@@ -283,12 +289,16 @@ def chebyshev_floor_check(J_length: float, k: int, trials: int = 20,
             moved = False
             for j in range(k):
                 for dz in (step, -step, 1j * step, -1j * step):
-                    cand = ws.copy()
-                    cand[j] += dz
-                    v = _segment_sup_product(cand, half, grid=257,
-                                             polish=False)
+                    col = np.abs(xs - (ws[j] + dz))
+                    v = prefix[j] * col
+                    for i in range(j + 1, k):
+                        v *= cols[i]
+                    v = v.max()
                     if v < cur:
-                        ws, cur, moved = cand, v, True
+                        ws[j] += dz
+                        cols[j], cur, moved = col, v, True
+                        for i in range(j, k):
+                            prefix[i + 1] = prefix[i] * cols[i]
             if not moved:
                 step /= 2
         best = min(best, _segment_sup_product(ws, half))

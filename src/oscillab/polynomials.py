@@ -220,20 +220,34 @@ def _log_rows(p: RootPolynomial, derivative: bool):
 def _disc_log_bounds(p: RootPolynomial, c: np.ndarray, h: np.ndarray,
                      derivative: bool) -> list:
     """Upper bounds of log|p| (and, when derivative is set, of log|p'|)
-    on the discs |z - c_i| <= h_i, as rows:
-        log|lead| + sum_j log(|c - r_j| + h),
-    and for p' the same plus log sum_j 1/(|c - r_j| + h), since
-    |p'(z)| <= sum_j prod_{k != j} |z - r_k|.  With h > 0 neither is
-    singular."""
+    on the discs |z - c_i| <= h_i, as rows.  With d_j = |c - r_j|:
+        log|lead| + sum_j log(d_j + h),
+    and for p' the same plus the log of the smaller of
+        sum_j 1/(d_j + h),  since |p'(z)| <= sum_j prod_{k != j} |z - r_k|,
+        |p'/p(c)| + h sum_j 1/((d_j - h) d_j),  where every d_j > h,
+    the second since |1/(z - r_j) - 1/(c - r_j)| <= h/((d_j - h) d_j).
+    The second is tight as h -> 0, so a panel beside a zero of p' (where
+    |p'|^q has a kink at odd q) can still be certified negligible.  With
+    h > 0 neither row is singular."""
     roots = p._root_array
     logs = np.zeros(c.shape)
     recips = np.zeros(c.shape)
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):
         for sl in _point_chunks(c.size, roots.size):
-            t = np.abs(c[sl, None] - roots[None, :]) + h[sl, None]
+            diff = c[sl, None] - roots[None, :]
+            d = np.abs(diff)
+            t = d + h[sl, None]
             logs[sl] = np.log(t).sum(axis=1)
             if derivative:
-                recips[sl] = (1.0 / t).sum(axis=1)
+                spread = (1.0 / t).sum(axis=1)
+                # in place: diff and t are not used again
+                t = np.subtract(d, h[sl, None], out=t)
+                t *= d
+                centred = (np.abs(np.reciprocal(diff, out=diff).sum(axis=1))
+                           + h[sl] * np.reciprocal(t, out=t).sum(axis=1))
+                inside = d.min(axis=1, initial=math.inf) > h[sl]
+                recips[sl] = np.where(inside, np.minimum(spread, centred),
+                                      spread)
         up = logs + (math.log(abs(p.lead)) if p.lead != 0 else -math.inf)
         return [up, up + np.log(recips)] if derivative else [up]
 

@@ -191,11 +191,14 @@ def _mp_log_mass(p, K, q, intervals):
     """30-digit log of the integral of |p|^q over arclength intervals of a
     polygon boundary: one mpmath.quad per straight segment, split at the
     foot of every root on it, so no integrand has a corner, or a root
-    nearby, inside a piece."""
+    nearby, inside a piece.  mpmath.quad's error test is absolute, so the
+    integrand is |p/s|^q, with s the largest |p| at the cut points, and
+    q log s is added back."""
     corners = [K.vertex_s(i) for i in range(len(K.vertices))]
     with mpmath.workdps(30):
         roots = [mpmath.mpc(r.real, r.imag) for r in p.roots]
-        total = mpmath.mpf(0)
+        abs_p = lambda z: mpmath.fprod(abs(z - r) for r in roots)
+        segments = []
         for lo, hi in intervals:
             ends = [lo] + [c for c in corners if lo < c < hi] + [hi]
             for a, b in zip(ends[:-1], ends[1:]):
@@ -203,10 +206,25 @@ def _mp_log_mass(p, K, q, intervals):
                           for z in (K.gamma(a), K.gamma(b)))
                 feet = {((r - za) / (zb - za)).real for r in roots}
                 cuts = sorted({0, 1} | {t for t in feet if 0 < t < 1})
-                f = lambda t: mpmath.fprod(abs(za + t * (zb - za) - r) ** q
-                                           for r in roots)
-                total += mpmath.quad(f, cuts) * abs(zb - za)
-        return float(mpmath.log(total))
+                segments.append((za, zb, cuts))
+        s = max(abs_p(za + t * (zb - za)) for za, zb, cuts in segments
+                for t in cuts)
+        total = mpmath.mpf(0)
+        for za, zb, cuts in segments:
+            f = lambda t: (abs_p(za + t * (zb - za)) / s) ** q
+            total += mpmath.quad(f, cuts) * abs(zb - za)
+        return float(mpmath.log(total) + q * mpmath.log(s))
+
+
+def test_mp_log_mass_of_a_spike_matches_mpmath():
+    # at q = 3e5 |p|^q is a spike about 2e-6 wide at the corner i; its mass
+    # is far below 1, so unscaled the oracle read log|p| = -0.7193640001
+    K = SQUARE
+    p = RootPolynomial(1.0, [0.3 + 0.2j, 0.7 + 0.6j, 0.5 + 0.5j])
+    q = 3e5
+    got = _mp_log_mass(p, K, q, [(0.0, K.perimeter)]) / q
+    assert abs(got + 0.71936332705268752938) <= 1e-15
+    assert abs(lq_norm(p, K, q).log_value - got) <= 1e-12
 
 
 def test_h_set_mass_over_corners_matches_mpmath():
@@ -318,6 +336,73 @@ def test_chebyshev_search_never_beats_floor_on_unit_segment():
 def test_chebyshev_batch():
     reps = run_batch("chebyshev", 10, SEED)
     assert all(r.passed for r in reps)
+
+
+def _chebyshev_oracle(J_length, k, trials, rng):
+    """The descent scored by the full product at every candidate: a fresh
+    (257, k) table |x - w| and its prod(axis=1) per move."""
+    floor = chebyshev_floor(J_length, k)
+    half = J_length / 2.0
+    nodes = half * np.cos((2 * np.arange(1, k + 1) - 1) * math.pi / (2 * k))
+
+    def coarse(ws):
+        xs = np.linspace(-half, half, 257)
+        vals = np.abs(xs[:, None] - ws[None, :]).prod(axis=1)
+        return float(vals[int(np.argmax(vals))])
+
+    attained = audits._segment_sup_product(nodes.astype(complex), half)
+    best = attained
+    for _ in range(trials):
+        ws = (rng.uniform(-half, half, size=k)
+              + 1j * rng.normal(0, half / 2, size=k))
+        cur = coarse(ws)
+        step = half / 4
+        sweeps = 0
+        while step > 1e-6 * half and sweeps < 60:
+            sweeps += 1
+            moved = False
+            for j in range(k):
+                for dz in (step, -step, 1j * step, -1j * step):
+                    cand = ws.copy()
+                    cand[j] += dz
+                    v = coarse(cand)
+                    if v < cur:
+                        ws, cur, moved = cand, v, True
+            if not moved:
+                step /= 2
+        best = min(best, audits._segment_sup_product(ws, half))
+    detail = {"floor": floor, "attained": attained, "search_min": best,
+              "attained_rel_err": abs(attained - floor) / floor}
+    return audits.AuditReport("chebyshev", best, floor * (1 - 1e-6),
+                              detail=detail)
+
+
+def test_chebyshev_descent_matches_full_product_oracle(monkeypatch):
+    # draws made as the batch's trial makes them; the prefix-product
+    # scores must leave the report and every trial's final roots bit for
+    # bit the full product's.  The report alone cannot show the descent:
+    # its search_min also takes the cosine nodes, which attain the floor
+    measured = []
+    segment_sup = audits._segment_sup_product
+
+    def recorded(ws, half, grid=2049):
+        value = segment_sup(ws, half, grid)
+        measured.append((ws.tobytes(), half, grid, value))
+        return value
+    monkeypatch.setattr(audits, "_segment_sup_product", recorded)
+    degrees = set()
+    for seed in range(60):
+        runs = []
+        for check in (chebyshev_floor_check, _chebyshev_oracle):
+            rng = np.random.default_rng(seed)
+            length, k = float(rng.uniform(0.2, 4.0)), int(rng.integers(1, 7))
+            measured.clear()
+            runs.append((check(length, k, 3, rng).as_record(),
+                         list(measured)))
+        degrees.add(k)
+        assert len(runs[0][1]) == 4
+        assert runs[0] == runs[1], (seed, length, k)
+    assert degrees == set(range(1, 7))
 
 
 # ------------------------------------------------------------- transfinite

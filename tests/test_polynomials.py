@@ -583,6 +583,20 @@ def test_spike_at_huge_q_matches_mpmath_or_raises():
                     norm(p, K, q)
 
 
+@pytest.mark.parametrize("q, want", [
+    (1.0, 2.34058036541914373822568326741),
+    (3.0, 1.9692688866374670582943762717),
+], ids=["q1", "q3"])
+def test_kink_of_derivative_at_odd_q_matches_mpmath(q, want):
+    # p' vanishes at 0.4 on the bottom edge, a kink in |p'|^q at odd q
+    # that split-and-compare never settles; the centred |p'| bound lets
+    # the panels beside it settle as negligible.  want: 30-digit mpmath,
+    # one mpmath.quad per edge, the bottom one split at 0.2, 0.4 and 0.6
+    p = RootPolynomial(1.0, (0.2, 0.6))
+    M = inverse_markov_factor(p, ConvexDomain.unit_square(), q).M
+    assert abs(M / want - 1) <= 1e-14
+
+
 def test_search_witness_at_q_1e6_matches_mpmath():
     # the search scores candidates on its fixed nodes; the adaptive
     # rescore of its witness must still resolve |p|^q and |p'|^q, spikes
@@ -591,6 +605,16 @@ def test_search_witness_at_q_1e6_matches_mpmath():
     res = minimize_oscillation(K, SearchConfig(n=4, q=1e6, budget=50,
                                                seed=0))
     log_p, log_dp = _mp_log_norms(res.best_p.roots, K, 1e6, decades=9)
+    assert abs(res.best_M / math.exp(log_dp - log_p) - 1) <= 1e-12
+
+
+def test_search_witness_at_q_1e7_matches_mpmath():
+    # the plain |p'| bound is loose by e^0.15 at the peak, so without the
+    # centred one the rescore stopped on the panel limit at depth 17
+    K = ConvexDomain.unit_square()
+    res = minimize_oscillation(K, SearchConfig(n=4, q=1e7, budget=50,
+                                               seed=0))
+    log_p, log_dp = _mp_log_norms(res.best_p.roots, K, 1e7, decades=10)
     assert abs(res.best_M / math.exp(log_dp - log_p) - 1) <= 1e-12
 
 

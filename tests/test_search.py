@@ -190,6 +190,14 @@ def test_search_at_q_two_rescores_once(monkeypatch):
         assert calls == [2.0]
 
 
+def test_search_at_q_one_rescores_a_kink_of_the_derivative():
+    # the witness has p' vanishing on an edge, a kink in |p'| that the
+    # rescore's quadrature once left unsettled at its depth cap
+    res = minimize_oscillation(SQUARE, SearchConfig(n=2, q=1.0, budget=40,
+                                                    seed=1))
+    assert res.best_M == inverse_markov_factor(res.best_p, SQUARE, 1.0).M
+
+
 def test_root_on_a_node_starts_without_warnings():
     # the disk's first node is gamma(0); a root there makes log|p| -inf and
     # p'/p infinite at that node, which the first score and the rescore
