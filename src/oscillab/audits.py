@@ -124,14 +124,13 @@ class HSet:
 
 
 def _h_intervals(p: RootPolynomial, K: ConvexDomain, q: float,
-                 n: int = None, multiplier: float = 1.0) -> tuple:
-    """(arclength intervals of {|p| > multiplier c n^(-2/q) |p|_inf}, log
-    threshold).  All mesh crossings are bisected together, each for up to
-    60 steps or until its bracket is under 1e-12 of the perimeter;
-    intervals lie in [0, L], an arc through s = 0 split in two."""
+                 n: int = None) -> tuple:
+    """(arclength intervals of {|p| > c n^(-2/q) |p|_inf}, log threshold).
+    All mesh crossings are bisected together, each for up to 60 steps or
+    until its bracket is under 1e-12 of the perimeter; intervals lie in
+    [0, L], an arc through s = 0 split in two."""
     log_sup = sup_norm(p, K).log_value
-    log_thr = log_h_threshold(p, K, q, n=n, log_sup=log_sup) \
-        + math.log(multiplier)
+    log_thr = log_h_threshold(p, K, q, n=n, log_sup=log_sup)
     L = K.perimeter
     ss = np.linspace(0.0, L, _H_MESH, endpoint=False)
     above = log_abs(p, K.gamma(ss)) > log_thr
@@ -177,12 +176,12 @@ def _in_intervals(s: np.ndarray, intervals) -> np.ndarray:
     return inside
 
 
-def h_set(p: RootPolynomial, K: ConvexDomain, q: float, n: int = None,
-          multiplier: float = 1.0) -> HSet:
+def h_set(p: RootPolynomial, K: ConvexDomain, q: float,
+          n: int = None) -> HSet:
     """Resolve the set {|p| > c n^(-2/q) |p|_inf} on the boundary and both
     masses, from one integration of |p|^q over boundary pieces cut at the
     set's endpoints; q must be finite."""
-    intervals, log_thr = _h_intervals(p, K, q, n, multiplier)
+    intervals, log_thr = _h_intervals(p, K, q, n)
     pieces = _boundary_pieces(K, [s for iv in intervals for s in iv])
     (masses,), _ = _adaptive_log_integral(p, K, q, pieces, False)
     on_h = _in_intervals(np.array([0.5 * (a + b) for a, b in pieces]),

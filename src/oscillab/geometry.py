@@ -472,8 +472,7 @@ def sample_polygon_uniform(verts: list[complex], count: int,
 
 
 def clip_polygon_halfplane(verts: Sequence[complex], point: complex,
-                           inward: complex,
-                           tol: float = 0.0) -> list[complex]:
+                           inward: complex) -> list[complex]:
     """Clip a convex polygon to the halfplane {z: <z - point, inward> >= 0}.
 
     inward is a (not necessarily unit) normal pointing into the kept side.
@@ -486,9 +485,9 @@ def clip_polygon_halfplane(verts: Sequence[complex], point: complex,
     for i in range(n):
         a, b = verts[i], verts[(i + 1) % n]
         va, vb = val(a), val(b)
-        if va >= -tol:
+        if va >= 0:
             out.append(a)
-        if (va > tol and vb < -tol) or (va < -tol and vb > tol):
+        if (va > 0 and vb < 0) or (va < 0 and vb > 0):
             t = va / (va - vb)
             out.append(a + t * (b - a))
     return out
@@ -622,8 +621,7 @@ def triangle_containment_check(K: ConvexDomain, zeta, zeta_prime,
         return TriangleContainmentReport(False, "T on the chord line", 0, 0,
                                          math.nan, T)
     inward = 1j * cell if side_T > 0 else -1j * cell
-    pts = np.asarray(clip_polygon_halfplane(K.as_clip_polygon(), z1, inward,
-                                            tol=0.0))
+    pts = np.asarray(clip_polygon_halfplane(K.as_clip_polygon(), z1, inward))
     if pts.size < 3:
         return TriangleContainmentReport(True, "empty far side", 0, 0,
                                          math.inf, T)
@@ -711,7 +709,7 @@ def angle_diam_arc_bounds(K: ConvexDomain, zeta: BoundaryPoint,
                               TWO_PI))
     inward = 1j * cell if side_T > 0 else -1j * cell
     if K.kind == "polygon":
-        small = clip_polygon_halfplane(list(K.vertices), z1, inward, tol=0.0)
+        small = clip_polygon_halfplane(list(K.vertices), z1, inward)
         diam_small = polygon_diameter(small)
         arc_small = _polygon_boundary_in_halfplane(K, z1, inward)
     else:

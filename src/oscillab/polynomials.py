@@ -299,14 +299,20 @@ def _row_log_sums(values: np.ndarray) -> np.ndarray:
     return np.logaddexp.reduce(values, axis=1, initial=-math.inf)
 
 
+def _gauss_nodes(a: np.ndarray, b: np.ndarray) -> tuple:
+    """Arclength nodes and weights, each an array (panels, 16), of the
+    16-node Gauss-Legendre rule on every panel [a_i, b_i]."""
+    half = 0.5 * (b - a)
+    return (0.5 * (a + b))[:, None] + half[:, None] * _XG, _WG * half[:, None]
+
+
 def _panel_log_integrals(K, flog, q, a, b):
     """log of the integral of e^{q f} over each panel [a_i, b_i] by the
     16-node Gauss-Legendre rule, for every row f in the sequence that flog
     returns, as an array (rows, panels), from one boundary call and one
     flog call.
     Raises QuadratureLimit when a value of q f is +inf or nan."""
-    half = 0.5 * (b - a)
-    s = (0.5 * (a + b))[:, None] + half[:, None] * _XG
+    s, w = _gauss_nodes(a, b)
     rows = flog(K.gamma(s.ravel()))
     with np.errstate(over="ignore"):
         li = q * np.reshape(rows, (len(rows),) + s.shape)
@@ -315,8 +321,7 @@ def _panel_log_integrals(K, flog, q, a, b):
     m = li.max(axis=2)
     shift = np.where(m > -math.inf, m, 0.0)
     with np.errstate(divide="ignore"):
-        return m + np.log(np.sum(_WG * half[:, None]
-                                 * np.exp(li - shift[..., None]), axis=2))
+        return m + np.log(np.sum(w * np.exp(li - shift[..., None]), axis=2))
 
 
 def _adaptive_log_integral(p: RootPolynomial, K: ConvexDomain, q: float,
@@ -448,9 +453,11 @@ _SUP_COARSE_BLOCKS = 64
 def _golden_max(f, lo, hi):
     """Golden-section search for the max of f on every bracket [lo_i, hi_i]
     at once.  Each step makes one f call on the array of the brackets' new
-    points, and each bracket runs the scalar recurrence in Python floats,
-    so its result does not depend on the others.  Returns the arrays
-    (argmax, max)."""
+    points, and each bracket runs the scalar recurrence in Python floats.
+    A numpy elementwise recurrence gives the same values bit for bit, but
+    its per-step overhead on the 16 brackets or fewer that callers pass
+    made a call about 1 to 2.5 ms slower (one core of a Xeon).  Returns the
+    arrays (argmax, max)."""
     a = np.asarray(lo, dtype=float).tolist()
     b = np.asarray(hi, dtype=float).tolist()
     k = len(a)

@@ -4,7 +4,8 @@ The optimizer is a multi-restart pattern search over root positions: each
 step perturbs one root by a complex Gaussian of the current step radius,
 projects it back into the domain, and keeps the move when the factor
 drops.  The radius halves after a sweep with no improvement.  The search
-loop scores candidates on a fixed boundary quadrature for speed, and
+loop scores candidates on fixed equal panels of the norms' 16-node
+Gauss-Legendre rule over the norms' boundary pieces, for speed, and
 incrementally: it keeps the per-node sums of log|z - r| and 1/(z - r) over
 the roots, so a candidate that moves one root costs O(nodes), not
 O(nodes * n).  The final incumbent is re-scored with the adaptive route, so
@@ -21,7 +22,8 @@ import numpy as np
 from .audits import AuditReport
 from .errors import QuadratureLimit
 from .geometry import ConvexDomain
-from .polynomials import (_QUAD_TOL, RootPolynomial, _root_sums,
+from .polynomials import (_QUAD_TOL, RootPolynomial, _boundary_pieces,
+                          _gauss_nodes, _log_sum, _root_sums,
                           inverse_markov_factor)
 
 __all__ = [
@@ -101,29 +103,17 @@ class SearchResult:
 # ------------------------------------------------- fast boundary scoring
 
 def _boundary_quadrature(K: ConvexDomain, n: int):
-    """Fixed nodes and weights for the search objective: trapezoid on a
-    circle (periodic, spectrally accurate), composite Gauss panels on
-    polygon edges."""
-    m_target = max(1024, 24 * max(1, n))
-    if K.kind == "disk":
-        ss = np.linspace(0.0, K.perimeter, m_target, endpoint=False)
-        return K.gamma(ss), np.full(m_target, K.perimeter / m_target)
-    xs, ws = np.polynomial.legendre.leggauss(24)
-    L = K.perimeter
-    edges = len(K.vertices)
-    panel_target = max(edges, round(m_target / 24))
-    svs = [float(K.vertex_s(i)) for i in range(edges)] + [L]
-    zs_all, ws_all = [], []
-    for i in range(edges):
-        a, b = svs[i], svs[i + 1]
-        k = max(1, round(panel_target * (b - a) / L))
-        for j in range(k):
-            lo = a + (b - a) * j / k
-            hi = a + (b - a) * (j + 1) / k
-            mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-            zs_all.append(K.gamma(mid + half * xs))
-            ws_all.append(ws * half)
-    return np.concatenate(zs_all), np.concatenate(ws_all)
+    """Fixed nodes and weights for the search objective: the norms'
+    16-node Gauss-Legendre rule on equal panels of each boundary piece,
+    about max(1024, 24 n) nodes in all, spread in proportion to arclength."""
+    panels = max(1024, 24 * max(1, n)) / 16
+    a, b = [], []
+    for lo, hi in _boundary_pieces(K):
+        k = max(1, round(panels * (hi - lo) / K.perimeter))
+        a.extend(lo + (hi - lo) * j / k for j in range(k))
+        b.extend(lo + (hi - lo) * (j + 1) / k for j in range(k))
+    s, w = _gauss_nodes(np.array(a), np.array(b))
+    return K.gamma(s.ravel()), w.ravel()
 
 
 def _moved_sums(sums, roots: np.ndarray, zs: np.ndarray, j: int,
@@ -165,14 +155,8 @@ def _log_M_from_sums(plog: np.ndarray, inv: np.ndarray, ws: np.ndarray,
     dlog = np.where(np.isnan(dlog), -np.inf, dlog)
     if q == math.inf:
         return float(dlog.max() - plog.max())
-
-    def log_int(v):
-        mx = v.max()
-        if mx == -math.inf:
-            return -math.inf
-        return q * mx + math.log(float(np.sum(ws * np.exp(q * (v - mx)))))
-
-    return (log_int(dlog) - log_int(plog)) / q
+    logw = np.log(ws)
+    return (_log_sum(q * dlog + logw) - _log_sum(q * plog + logw)) / q
 
 
 def _project(K: ConvexDomain, z: complex) -> complex:

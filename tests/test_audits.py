@@ -176,17 +176,6 @@ def test_h_intervals_match_scalar_bisection(K, roots):
     assert got == sorted(want)
 
 
-def test_h_set_monotone_in_multiplier():
-    for trial in range(15):
-        rng = trial_rng(SEED, trial)
-        K = random_domain(rng)
-        deg = int(rng.integers(2, 20))
-        p = RootPolynomial(1.0, random_roots_in(K, deg, rng))
-        m1 = h_set(p, K, 2.0, multiplier=1.0).measure
-        m2 = h_set(p, K, 2.0, multiplier=2.0).measure
-        assert m2 <= m1 + 1e-9 * K.perimeter
-
-
 def _mp_log_mass(p, K, q, intervals):
     """30-digit log of the integral of |p|^q over arclength intervals of a
     polygon boundary: one mpmath.quad per straight segment, split at the

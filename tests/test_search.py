@@ -117,6 +117,30 @@ def test_incremental_objective_matches_full(K, n):
                 want, rel=1e-12, abs=0), (move, q)
 
 
+RECT3X1 = ConvexDomain.polygon([0, 3, 3 + 1j, 1j])
+OCTAGON = ConvexDomain.regular_polygon(8)
+
+
+@pytest.mark.parametrize("n", [4, 16, 64])
+@pytest.mark.parametrize("K", [DISK, SQUARE, RECT3X1, OCTAGON],
+                         ids=["disk", "square", "rect3x1", "octagon"])
+def test_search_rule_matches_the_adaptive_rescore(K, n):
+    # the search scores on fixed panels of the norms' 16-node Gauss rule;
+    # at q = 2, |p|^2 is a polynomial on an edge and a trigonometric one on
+    # the circle, so the fixed rule gives the rescore's log M to rounding
+    zs, ws = _boundary_quadrature(K, n)
+    assert ws.sum() == pytest.approx(K.perimeter, rel=1e-13, abs=0)
+    assert np.abs(K.interior_margin(zs)).max() <= 1e-14 * K.diameter
+    rng = np.random.default_rng(5)
+    for _ in range(10):
+        roots = np.asarray(K.sample_uniform(n, rng), dtype=complex)
+        p = RootPolynomial(1.0, tuple(roots))
+        for q, tol in ((2.0, 1e-13), (1.0, 1e-4)):
+            want = math.log(inverse_markov_factor(p, K, q).M)
+            assert _fast_log_M(roots, zs, ws, q) == pytest.approx(
+                want, rel=0, abs=tol), q
+
+
 def test_scale_equivariance():
     cfg = SearchConfig(n=3, q=2.0, budget=900, seed=21, restarts=3)
     lam = 2.0
@@ -199,12 +223,13 @@ def test_search_at_q_one_rescores_a_kink_of_the_derivative():
 
 
 def test_root_on_a_node_starts_without_warnings():
-    # the disk's first node is gamma(0); a root there makes log|p| -inf and
-    # p'/p infinite at that node, which the first score and the rescore
-    # check both skip
+    # a root on the disk's first search node makes log|p| -inf and p'/p
+    # infinite at that node, which the first score and the rescore check
+    # both skip
+    node = complex(_boundary_quadrature(DISK, 3)[0][0])
     res = minimize_oscillation(DISK, SearchConfig(
         n=3, q=2.0, budget=30, seed=SEED, restarts=1, init="user",
-        init_roots=(complex(DISK.gamma(0.0)), 0.5j, -0.5)))
+        init_roots=(node, 0.5j, -0.5)))
     assert math.isfinite(res.best_M)
 
 
