@@ -258,48 +258,24 @@ def _segment_sup_product(ws: np.ndarray, half: float,
 
 def chebyshev_floor_check(J_length: float, k: int, trials: int = 20,
                           rng=None) -> AuditReport:
-    """Companion search: random monic polynomials with local descent never
-    beat the floor, while the cosine-node polynomial attains it."""
+    """The cosine-node polynomial attains the floor, and none of `trials`
+    monic candidates drawn in a tight cloud around its nodes,
+    nodes + 2e-3 half (N(0,1) + i N(0,1)), reads below it.  The nodes are
+    optimal, so a candidate can beat them only through a maximizer that
+    under-reads near the optimum, the one place where that matters; c05
+    scans candidates from afar.  ValueError when trials is not an int >= 0
+    (a bool included)."""
+    if type(trials) is not int or trials < 0:
+        raise ValueError(f"trials must be an integer >= 0, got {trials!r}")
     rng = np.random.default_rng(0) if rng is None else rng
     floor = chebyshev_floor(J_length, k)
     half = J_length / 2.0
     nodes = half * np.cos((2 * np.arange(1, k + 1) - 1) * math.pi / (2 * k))
     attained = _segment_sup_product(nodes.astype(complex), half)
     best = attained
-    # descent navigates on a coarse grid; the final configuration is
-    # re-measured accurately before it can count
-    xs = np.linspace(-half, half, 257)
     for _ in range(trials):
-        ws = (rng.uniform(-half, half, size=k)
-              + 1j * rng.normal(0, half / 2, size=k))
-        # the columns |x - w_i| and their prefix products; a move of root j
-        # scores (prefix_j |x - w_j'|) col_{j+1} ... col_{k-1}, multiplied
-        # left to right as prod(axis=1) does, so every value is the full
-        # product's
-        cols = np.abs(xs[None, :] - ws[:, None])
-        prefix = np.ones((k + 1, xs.size))
-        for i in range(k):
-            prefix[i + 1] = prefix[i] * cols[i]
-        cur = prefix[k].max()
-        step = half / 4
-        sweeps = 0
-        while step > 1e-6 * half and sweeps < 60:
-            sweeps += 1
-            moved = False
-            for j in range(k):
-                for dz in (step, -step, 1j * step, -1j * step):
-                    col = np.abs(xs - (ws[j] + dz))
-                    v = prefix[j] * col
-                    for i in range(j + 1, k):
-                        v *= cols[i]
-                    v = v.max()
-                    if v < cur:
-                        ws[j] += dz
-                        cols[j], cur, moved = col, v, True
-                        for i in range(j, k):
-                            prefix[i + 1] = prefix[i] * cols[i]
-            if not moved:
-                step /= 2
+        ws = nodes + (2e-3 * half) * (rng.normal(0.0, 1.0, k)
+                                      + 1j * rng.normal(0.0, 1.0, k))
         best = min(best, _segment_sup_product(ws, half))
     detail = {"floor": floor, "attained": attained, "search_min": best,
               "attained_rel_err": abs(attained - floor) / floor}

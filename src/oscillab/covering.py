@@ -174,9 +174,9 @@ def _non_good_set(K, r, theta):
         raise FamilyTooLarge("no point of the disk is good: its tilted "
                              "chords are all 2R cos(2 theta) < r long")
     snap = VERTEX_SNAP_REL * K.perimeter
-    cum = np.asarray(K._cum[:-1])
+    cum = K._cum_arr[:-1]
     end = np.asarray(K._edge_len) - snap
-    e = np.asarray(K._edge_dir)
+    e = K._dir_arr
     # axes: (tilt sign, edge i of the point, exit edge k)
     phi = (np.asarray(K._edge_angle) + 0.5 * math.pi
            + np.array([-1.0, 1.0])[:, None] * 2.0 * theta)[..., None]

@@ -224,6 +224,11 @@ class ConvexDomain:
             cum.append(cum[-1] + l)
         self._cum = cum
         self.perimeter = cum[-1]
+        # array copies for the vectorized lookups, built once, read-only
+        arrays = [np.array(x) for x in (cum, vs, self._edge_dir)]
+        for arr in arrays:
+            arr.flags.writeable = False
+        self._cum_arr, self._vert_arr, self._dir_arr = arrays
         # lifted tangent angles: base[i] is the direction angle of edge i,
         # lifted so that base is increasing and base[0] in (-pi, pi]
         base = [math.atan2(self._edge_dir[0].imag, self._edge_dir[0].real)]
@@ -272,12 +277,10 @@ class ConvexDomain:
             out = self.center + self.radius * np.exp(1j * s / self.radius)
             return complex(out) if out.ndim == 0 else out
         s = np.mod(np.asarray(s, dtype=float), self.perimeter)
-        idx = np.minimum(np.searchsorted(self._cum, s, side="right") - 1,
+        idx = np.minimum(np.searchsorted(self._cum_arr, s, side="right") - 1,
                          len(self._edge_len) - 1)
-        off = s - np.asarray(self._cum)[idx]
-        verts = np.asarray(self.vertices)
-        dirs = np.asarray(self._edge_dir)
-        out = verts[idx] + off * dirs[idx]
+        off = s - self._cum_arr[idx]
+        out = self._vert_arr[idx] + off * self._dir_arr[idx]
         return complex(out) if out.ndim == 0 else out
 
     def vertex_s(self, i: int) -> float:
@@ -299,7 +302,7 @@ class ConvexDomain:
         else:
             snap = VERTEX_SNAP_REL * L
             n = len(self.vertices)
-            cum = np.asarray(self._cum)
+            cum = self._cum_arr
             i = np.minimum(np.searchsorted(cum, s, side="right") - 1, n - 1)
             off = s - cum[i]
             at_start = off <= snap
@@ -309,7 +312,7 @@ class ConvexDomain:
             a_plus = np.where(snapped, a_edge[j], a_edge[i])
             a_minus = np.where(snapped, a_plus - np.asarray(self._turn)[j],
                                a_plus)
-            z = np.where(snapped, np.asarray(self.vertices)[j], self.gamma(s))
+            z = np.where(snapped, self._vert_arr[j], self.gamma(s))
             s = np.where(snapped, np.mod(cum[j], L), s)
         if s.ndim == 0:
             return BoundaryPoint(float(s), complex(z), float(a_minus),
@@ -351,9 +354,8 @@ class ConvexDomain:
             out = self.radius - np.abs(z - self.center)
             return float(out) if out.ndim == 0 else out
         z = np.asarray(z, dtype=complex)
-        verts = np.asarray(self.vertices)
-        dirs = np.asarray(self._edge_dir)
-        rel = z[..., None] - verts
+        rel = z[..., None] - self._vert_arr
+        dirs = self._dir_arr
         crossv = dirs.real * rel.imag - dirs.imag * rel.real
         out = crossv.min(axis=-1)
         return float(out) if out.ndim == 0 else out
@@ -532,8 +534,8 @@ def chord(K: ConvexDomain, zeta, phi) -> Chord:
         # the line z0 + t u crosses the line of edge k at t = -c0[k] / c1[k]
         # (all edges at once); a point outside a parallel edge has no chord
         edge_axis = (-1,) + (1,) * z0.ndim
-        verts = np.reshape(K.vertices, edge_axis)
-        dirs = np.reshape(K._edge_dir, edge_axis)
+        verts = K._vert_arr.reshape(edge_axis)
+        dirs = K._dir_arr.reshape(edge_axis)
         rel = z0 - verts
         c0 = dirs.real * rel.imag - dirs.imag * rel.real
         c1 = dirs.real * u.imag - dirs.imag * u.real

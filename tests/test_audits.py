@@ -327,71 +327,62 @@ def test_chebyshev_batch():
     assert all(r.passed for r in reps)
 
 
-def _chebyshev_oracle(J_length, k, trials, rng):
-    """The descent scored by the full product at every candidate: a fresh
-    (257, k) table |x - w| and its prod(axis=1) per move."""
-    floor = chebyshev_floor(J_length, k)
-    half = J_length / 2.0
-    nodes = half * np.cos((2 * np.arange(1, k + 1) - 1) * math.pi / (2 * k))
-
-    def coarse(ws):
-        xs = np.linspace(-half, half, 257)
-        vals = np.abs(xs[:, None] - ws[None, :]).prod(axis=1)
-        return float(vals[int(np.argmax(vals))])
-
-    attained = audits._segment_sup_product(nodes.astype(complex), half)
-    best = attained
-    for _ in range(trials):
-        ws = (rng.uniform(-half, half, size=k)
-              + 1j * rng.normal(0, half / 2, size=k))
-        cur = coarse(ws)
-        step = half / 4
-        sweeps = 0
-        while step > 1e-6 * half and sweeps < 60:
-            sweeps += 1
-            moved = False
-            for j in range(k):
-                for dz in (step, -step, 1j * step, -1j * step):
-                    cand = ws.copy()
-                    cand[j] += dz
-                    v = coarse(cand)
-                    if v < cur:
-                        ws, cur, moved = cand, v, True
-            if not moved:
-                step /= 2
-        best = min(best, audits._segment_sup_product(ws, half))
-    detail = {"floor": floor, "attained": attained, "search_min": best,
-              "attained_rel_err": abs(attained - floor) / floor}
-    return audits.AuditReport("chebyshev", best, floor * (1 - 1e-6),
-                              detail=detail)
+def _batch_like_chebyshev(seed, trials=3):
+    """The check on the draw the batch trial makes from this rng seed."""
+    rng = np.random.default_rng(seed)
+    length, k = float(rng.uniform(0.2, 4.0)), int(rng.integers(1, 7))
+    return k, chebyshev_floor_check(length, k, trials, rng)
 
 
-def test_chebyshev_descent_matches_full_product_oracle(monkeypatch):
-    # draws made as the batch's trial makes them; the prefix-product
-    # scores must leave the report and every trial's final roots bit for
-    # bit the full product's.  The report alone cannot show the descent:
-    # its search_min also takes the cosine nodes, which attain the floor
-    measured = []
-    segment_sup = audits._segment_sup_product
-
-    def recorded(ws, half, grid=2049):
-        value = segment_sup(ws, half, grid)
-        measured.append((ws.tobytes(), half, grid, value))
-        return value
-    monkeypatch.setattr(audits, "_segment_sup_product", recorded)
+def test_chebyshev_trials_never_beat_the_cosine_nodes():
+    # the cloud's candidates lie above the optimum, so the report is the
+    # cosine-node sup bit for bit
     degrees = set()
     for seed in range(60):
-        runs = []
-        for check in (chebyshev_floor_check, _chebyshev_oracle):
-            rng = np.random.default_rng(seed)
-            length, k = float(rng.uniform(0.2, 4.0)), int(rng.integers(1, 7))
-            measured.clear()
-            runs.append((check(length, k, 3, rng).as_record(),
-                         list(measured)))
+        k, rep = _batch_like_chebyshev(seed)
         degrees.add(k)
-        assert len(runs[0][1]) == 4
-        assert runs[0] == runs[1], (seed, length, k)
+        attained = rep.detail["attained"]
+        assert rep.lhs == attained == rep.detail["search_min"], seed
+        assert rep.passed
     assert degrees == set(range(1, 7))
+
+
+def test_chebyshev_trials_catch_an_under_reading_maximizer(monkeypatch):
+    # a maximizer that under-reads every candidate but the cosine nodes
+    # (the only real ones) must fail the report.  A 1e-3 under-read shows
+    # only where the cloud's excess over the floor is smaller: at degree 1
+    # with 20 trials on every seed (with 3 trials on 13 seeds of 20, at
+    # degree 2 on 1).  A 10% one, above every excess seen, shows on every
+    # batch-like draw
+    segment_sup = audits._segment_sup_product
+    factor = []
+
+    def under_read(ws, half, grid=2049):
+        value = segment_sup(ws, half, grid)
+        return value * (1 - factor[0]) if ws.imag.any() else value
+
+    seeds = range(20)
+    assert all(chebyshev_floor_check(1.0, 1, 20, np.random.default_rng(s))
+               .passed for s in seeds)
+    monkeypatch.setattr(audits, "_segment_sup_product", under_read)
+    factor.append(1e-3)
+    for seed in seeds:
+        rep = chebyshev_floor_check(1.0, 1, 20, np.random.default_rng(seed))
+        assert rep.lhs < rep.detail["attained"] and not rep.passed, seed
+    factor[0] = 0.1
+    for seed in range(60):
+        assert not _batch_like_chebyshev(seed)[1].passed, seed
+
+
+@pytest.mark.parametrize("trials", [-1, 2.5, True, "3", None, np.int64(3)])
+def test_chebyshev_rejects_bad_trials(trials):
+    with pytest.raises(ValueError, match="trials"):
+        chebyshev_floor_check(1.0, 3, trials)
+
+
+def test_chebyshev_zero_trials_is_the_cosine_nodes():
+    rep = chebyshev_floor_check(1.0, 3, 0)
+    assert rep.lhs == rep.detail["attained"] and rep.passed
 
 
 # ------------------------------------------------------------- transfinite

@@ -619,6 +619,43 @@ def test_boundary_mesh_and_gamma_consistency():
         assert abs(K.interior_margin(z)) <= 1e-12
 
 
+def test_gamma_from_cached_arrays_matches_per_point_reference():
+    # gamma on an array, gamma on each scalar and the edge formula
+    # v[i] + (s - cum[i]) dir[i] in Python complex arithmetic agree byte
+    # for byte, at the vertices +- 1 ulp, at s = L and outside [0, L)
+    rng = trial_rng(20260818, 11)
+    for K in (ConvexDomain.unit_square(), ConvexDomain.regular_polygon(8),
+              random_convex_polygon(rng, vertices=7)):
+        L = K.perimeter
+        n = len(K.vertices)
+        cum = [K.vertex_s(i) for i in range(n)]
+        ss = [L, -0.25 * L, 1.75 * L, -1e-300, 0.0]
+        for sv in cum:
+            ss += [sv, np.nextafter(sv, -math.inf), np.nextafter(sv, math.inf)]
+        ss += list(rng.uniform(-L, 2 * L, 20))
+        ss = np.array(ss)
+        many = K.gamma(ss)
+        for s, z in zip(ss, many):
+            t = float(s) % L
+            i = min(int(np.searchsorted(cum + [L], t, side="right")) - 1,
+                    n - 1)
+            want = complex(K.vertices[i] + (t - cum[i]) * K._edge_dir[i])
+            one = K.gamma(float(s))
+            assert type(one) is complex
+            assert (np.array([one, z]).tobytes()
+                    == np.array([want, want]).tobytes()), (K, s)
+
+
+def test_cached_boundary_arrays_are_read_only():
+    for K in (ConvexDomain.unit_square(), ConvexDomain.regular_polygon(5)):
+        for arr, ref in ((K._cum_arr, K._cum), (K._vert_arr, K.vertices),
+                         (K._dir_arr, K._edge_dir)):
+            assert not arr.flags.writeable
+            assert arr.tolist() == list(ref)
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
+
 def test_nearest_boundary_s_roundtrip():
     rng = trial_rng(20260818, 10)
     K = random_convex_polygon(rng, vertices=6)

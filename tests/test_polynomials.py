@@ -96,6 +96,24 @@ def test_json_roundtrip():
     assert p2.lead == p.lead and p2.roots == p.roots
 
 
+def test_scale_is_the_largest_root_modulus_at_least_one():
+    # the cached value equals the formula it replaced, computed afresh
+    def formula(p):
+        if not p.roots:
+            return 1.0
+        return max(1.0, float(np.max(np.abs(np.array(p.roots)))))
+    big = RootPolynomial(1.0, [3e300 + 4e300j, -1e200, 0.5])
+    for p in (RootPolynomial(2.0, []), RootPolynomial(0.0, [0.3, 0.2j]),
+              RootPolynomial(1.0, [0j] * 3), big,
+              RootPolynomial(1.0, [1e6j, -2.5 + 0j])):
+        assert p.scale() == formula(p)
+    assert big.scale() == 5e300
+    assert RootPolynomial(0.0, [1e6j]).scale() == 1e6
+    # not a dataclass field: equality, hashing and JSON see only the roots
+    p = RootPolynomial(1.0, [2.0])
+    assert p == RootPolynomial(1.0, [2.0]) and "scale" not in p.to_json()
+
+
 def test_log_derivative_matches_finite_difference():
     p = RootPolynomial(1.0, [0.2 + 0.1j, -0.4, 0.5j])
     z = 1.1 + 0.3j
@@ -435,6 +453,76 @@ def test_batched_golden_max_matches_single_brackets():
         assert lo[i] <= xs[i] <= hi[i]
 
 
+_INV_GOLD = (math.sqrt(5.0) - 1.0) / 2.0
+_GOLDEN_STEPS = 80
+
+
+def _golden_max_80(f, lo, hi):
+    """The golden-section search as it was before its cycle exit, verbatim:
+    always _GOLDEN_STEPS steps."""
+    a = np.asarray(lo, dtype=float).tolist()
+    b = np.asarray(hi, dtype=float).tolist()
+    k = len(a)
+    c = [b[i] - _INV_GOLD * (b[i] - a[i]) for i in range(k)]
+    d = [a[i] + _INV_GOLD * (b[i] - a[i]) for i in range(k)]
+    fc, fd = f(np.array(c)).tolist(), f(np.array(d)).tolist()
+    for _ in range(_GOLDEN_STEPS):
+        left = [fc[i] >= fd[i] for i in range(k)]
+        x = []
+        for i in range(k):
+            if left[i]:
+                b[i], d[i], fd[i] = d[i], c[i], fc[i]
+                x.append(b[i] - _INV_GOLD * (b[i] - a[i]))
+            else:
+                a[i], c[i], fc[i] = c[i], d[i], fd[i]
+                x.append(a[i] + _INV_GOLD * (b[i] - a[i]))
+        for i, fx in enumerate(f(np.array(x)).tolist()):
+            if left[i]:
+                c[i], fc[i] = x[i], fx
+            else:
+                d[i], fd[i] = x[i], fx
+    top = [fc[i] >= fd[i] for i in range(k)]
+    return (np.array([c[i] if top[i] else d[i] for i in range(k)]),
+            np.array([fc[i] if top[i] else fd[i] for i in range(k)]))
+
+
+@pytest.mark.parametrize("brackets", [1, 16])
+def test_golden_cycle_exit_matches_the_full_run(brackets):
+    # brackets of log|p| and log|p'| along the boundary, as the sup polish
+    # makes them, on the disk and random polygons; on a polygon the first
+    # bracket is centred on a vertex
+    rng = trial_rng(20260818, 40 + brackets)
+    domains = [ConvexDomain.unit_disk()] + [
+        random_convex_polygon(rng, vertices=int(rng.integers(3, 9)))
+        for _ in range(3)]
+    calls, cases = [], 0
+    for K in domains:
+        L = K.perimeter
+        p = RootPolynomial(1.0, random_roots_in(K, int(rng.integers(1, 40)),
+                                                rng))
+        for row in (log_abs, logabs_derivative):
+            def f(s, row=row):
+                calls[-1] += 1
+                return row(p, K.gamma(s % L))
+            for width in (1e-9, 1e-6, 1e-3, 0.1, 0.5):
+                centre = rng.uniform(0.0, L, brackets)
+                if K.kind == "polygon":
+                    centre[0] = K.vertex_s(1)
+                lo, hi = centre - width / 2, centre + width / 2
+                calls.append(0)
+                new = _golden_max(f, lo, hi)
+                calls.append(0)
+                ref = _golden_max_80(f, lo, hi)
+                assert calls[-1] == 2 + _GOLDEN_STEPS
+                for got, want in zip(new, ref):
+                    assert got.tobytes() == want.tobytes(), (K, width)
+                cases += 1
+    assert cases == 40
+    # the exit is taken, and early: most searches stop well before step 80
+    assert max(calls[::2]) <= 2 + _GOLDEN_STEPS
+    assert np.median(calls[::2]) < 2 + 70
+
+
 def test_sup_polish_cost_does_not_grow_with_candidates(monkeypatch):
     # |z^n| = 1 on the unit circle, so every mesh value is in the top tier
     # and the polish takes the full 16 candidates; (z - 1/2) has one peak
@@ -460,8 +548,10 @@ def test_sup_polish_cost_does_not_grow_with_candidates(monkeypatch):
     assert brackets == [16, 1]
     # the mesh takes a pass over the block centres (their bounds come from
     # _disc_log_bounds, not the kernel) and one over the kept blocks; the
-    # polish then takes two initial probes and 80 golden steps
-    assert calls == [2 + 82, 2 + 82]
+    # polish then takes two initial probes and at most 80 golden steps:
+    # 67 and 63 here, where the brackets cycle
+    assert calls == [2 + 2 + 67, 2 + 2 + 63]
+    assert max(calls) <= 2 + 82
 
 
 @pytest.mark.parametrize("n", [8, 65])
