@@ -341,8 +341,7 @@ def test_chebyshev_trials_never_beat_the_cosine_nodes():
     for seed in range(60):
         k, rep = _batch_like_chebyshev(seed)
         degrees.add(k)
-        attained = rep.detail["attained"]
-        assert rep.lhs == attained == rep.detail["search_min"], seed
+        assert rep.lhs == rep.detail["attained"] == rep.detail["search_min"]
         assert rep.passed
     assert degrees == set(range(1, 7))
 
@@ -355,26 +354,25 @@ def test_chebyshev_trials_catch_an_under_reading_maximizer(monkeypatch):
     # degree 2 on 1).  A 10% one, above every excess seen, shows on every
     # batch-like draw
     segment_sup = audits._segment_sup_product
-    factor = []
+    shortfall = 1e-3
 
     def under_read(ws, half, grid=2049):
         value = segment_sup(ws, half, grid)
-        return value * (1 - factor[0]) if ws.imag.any() else value
+        return value * (1 - shortfall) if ws.imag.any() else value
 
     seeds = range(20)
     assert all(chebyshev_floor_check(1.0, 1, 20, np.random.default_rng(s))
                .passed for s in seeds)
     monkeypatch.setattr(audits, "_segment_sup_product", under_read)
-    factor.append(1e-3)
     for seed in seeds:
         rep = chebyshev_floor_check(1.0, 1, 20, np.random.default_rng(seed))
         assert rep.lhs < rep.detail["attained"] and not rep.passed, seed
-    factor[0] = 0.1
+    shortfall = 0.1
     for seed in range(60):
         assert not _batch_like_chebyshev(seed)[1].passed, seed
 
 
-@pytest.mark.parametrize("trials", [-1, 2.5, True, "3", None, np.int64(3)])
+@pytest.mark.parametrize("trials", [-1, 2.5, True, "3", None])
 def test_chebyshev_rejects_bad_trials(trials):
     with pytest.raises(ValueError, match="trials"):
         chebyshev_floor_check(1.0, 3, trials)

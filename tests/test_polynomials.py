@@ -97,7 +97,7 @@ def test_json_roundtrip():
 
 
 def test_scale_is_the_largest_root_modulus_at_least_one():
-    # the cached value equals the formula it replaced, computed afresh
+    # the cached value equals max(1, max_j |r_j|) computed afresh
     def formula(p):
         if not p.roots:
             return 1.0
@@ -109,9 +109,12 @@ def test_scale_is_the_largest_root_modulus_at_least_one():
         assert p.scale() == formula(p)
     assert big.scale() == 5e300
     assert RootPolynomial(0.0, [1e6j]).scale() == 1e6
-    # not a dataclass field: equality, hashing and JSON see only the roots
-    p = RootPolynomial(1.0, [2.0])
-    assert p == RootPolynomial(1.0, [2.0]) and "scale" not in p.to_json()
+    # not a dataclass field: a cached scale leaves equality, hashing and
+    # JSON as they are
+    p, fresh = RootPolynomial(1.0, [2.0]), RootPolynomial(1.0, [2.0])
+    assert p.scale() == 2.0
+    assert p == fresh and hash(p) == hash(fresh)
+    assert p.to_json() == fresh.to_json()
 
 
 def test_log_derivative_matches_finite_difference():
