@@ -90,11 +90,10 @@ def log_h_constant(q: float) -> float:
 
 
 def log_h_threshold(p: RootPolynomial, K: ConvexDomain, q: float,
-                    n: int = None, log_sup: float = None) -> float:
-    n = p.n if n is None else n
+                    log_sup: float = None) -> float:
     if log_sup is None:
         log_sup = sup_norm(p, K).log_value
-    return log_h_constant(q) - (2.0 / q) * math.log(max(n, 1)) + log_sup
+    return log_h_constant(q) - (2.0 / q) * math.log(max(p.n, 1)) + log_sup
 
 
 @dataclass(frozen=True)
@@ -123,14 +122,13 @@ class HSet:
                                    "intervals": len(self.intervals)})
 
 
-def _h_intervals(p: RootPolynomial, K: ConvexDomain, q: float,
-                 n: int = None) -> tuple:
+def _h_intervals(p: RootPolynomial, K: ConvexDomain, q: float) -> tuple:
     """(arclength intervals of {|p| > c n^(-2/q) |p|_inf}, log threshold).
     All mesh crossings are bisected together, each for up to 60 steps or
     until its bracket is under 1e-12 of the perimeter; intervals lie in
     [0, L], an arc through s = 0 split in two."""
     log_sup = sup_norm(p, K).log_value
-    log_thr = log_h_threshold(p, K, q, n=n, log_sup=log_sup)
+    log_thr = log_h_threshold(p, K, q, log_sup=log_sup)
     L = K.perimeter
     ss = np.linspace(0.0, L, _H_MESH, endpoint=False)
     above = log_abs(p, K.gamma(ss)) > log_thr
@@ -176,12 +174,11 @@ def _in_intervals(s: np.ndarray, intervals) -> np.ndarray:
     return inside
 
 
-def h_set(p: RootPolynomial, K: ConvexDomain, q: float,
-          n: int = None) -> HSet:
+def h_set(p: RootPolynomial, K: ConvexDomain, q: float) -> HSet:
     """Resolve the set {|p| > c n^(-2/q) |p|_inf} on the boundary and both
     masses, from one integration of |p|^q over boundary pieces cut at the
     set's endpoints; q must be finite."""
-    intervals, log_thr = _h_intervals(p, K, q, n)
+    intervals, log_thr = _h_intervals(p, K, q)
     pieces = _boundary_pieces(K, [s for iv in intervals for s in iv])
     (masses,), _ = _adaptive_log_integral(p, K, q, pieces, False)
     on_h = _in_intervals(np.array([0.5 * (a + b) for a, b in pieces]),
@@ -192,21 +189,19 @@ def h_set(p: RootPolynomial, K: ConvexDomain, q: float,
 
 
 def point_in_h(p: RootPolynomial, K: ConvexDomain, q: float, z: complex,
-               n: int = None, log_sup: float = None) -> bool:
-    thr = log_h_threshold(p, K, q, n=n, log_sup=log_sup)
+               log_sup: float = None) -> bool:
+    thr = log_h_threshold(p, K, q, log_sup=log_sup)
     return bool(log_abs(p, z) > thr)
 
 
 # ---------------------------------------------------------- simple floors
 
-def nikolskii_audit(p: RootPolynomial, K: ConvexDomain, q: float,
-                    n: int = None) -> AuditReport:
+def nikolskii_audit(p: RootPolynomial, K: ConvexDomain, q: float
+                    ) -> AuditReport:
     """|p|_q >= (d/(2(q+1)))^(1/q) |p|_inf n^(-2/q) for any polynomial of
-    degree at most n."""
-    n = p.n if n is None else n
-    if n < p.n:
-        raise ValueError("declared degree below the actual degree")
-    n = max(n, 1)
+    degree at most n, checked at n = max(deg p, 1), where the floor is
+    highest."""
+    n = max(p.n, 1)
     log_lhs = lq_norm(p, K, q).log_value
     log_sup = sup_norm(p, K).log_value
     log_rhs = (_log_q_root(math.log(K.diameter / 2), q)
@@ -216,13 +211,13 @@ def nikolskii_audit(p: RootPolynomial, K: ConvexDomain, q: float,
 
 
 def h_point_log_gap(p: RootPolynomial, K: ConvexDomain, zeta: complex,
-                    q: float, n: int = None) -> AuditReport:
+                    q: float) -> AuditReport:
     """For a point inside the threshold set, the log gap to the sup norm
     stays below log(16 pi) + 2 log n, and below (107/40) log n once
     n >= 73."""
-    n = max(p.n if n is None else n, 1)
+    n = max(p.n, 1)
     log_sup = sup_norm(p, K).log_value
-    if not point_in_h(p, K, q, zeta, n=n, log_sup=log_sup):
+    if not point_in_h(p, K, q, zeta, log_sup=log_sup):
         raise NotInH("point is below the threshold set")
     gap = log_sup - float(log_abs(p, zeta))
     bound_all = math.log(16 * math.pi) + 2 * math.log(n)
@@ -239,6 +234,9 @@ def h_point_log_gap(p: RootPolynomial, K: ConvexDomain, zeta: complex,
 
 # ---------------------------------------------------- Chebyshev floors
 
+# grid points on the segment, before the golden polish
+_SEGMENT_GRID = 2049
+
 def chebyshev_floor(J_length: float, k: int) -> float:
     """Best possible sup of a monic degree-k polynomial on a segment of
     that length."""
@@ -247,11 +245,10 @@ def chebyshev_floor(J_length: float, k: int) -> float:
     return 2.0 * (J_length / 4.0) ** k
 
 
-def _segment_sup_product(ws: np.ndarray, half: float,
-                         grid: int = 2049) -> float:
+def _segment_sup_product(ws: np.ndarray, half: float) -> float:
     """Sup of |prod (x - w_j)| over x in [-half, half], grid plus golden
     polish around the best grid point."""
-    xs = np.linspace(-half, half, grid)
+    xs = np.linspace(-half, half, _SEGMENT_GRID)
     f = lambda x: np.abs(x[:, None] - ws[None, :]).prod(axis=1)
     return _grid_max(f, xs, f(xs))[1]
 
@@ -393,7 +390,7 @@ class ZeroPartition:
 
 
 def classify_zeros(p: RootPolynomial, zeta: BoundaryPoint,
-                   K: ConvexDomain, sigma: float = None) -> ZeroPartition:
+                   K: ConvexDomain) -> ZeroPartition:
     """Split the roots by location relative to the tilted chord at zeta.
 
     The chord sign follows the rule delta = min of the two tilted chords;
@@ -401,7 +398,7 @@ def classify_zeros(p: RootPolynomial, zeta: BoundaryPoint,
     afterwards.  The tilt is under pi/2, so the chord always runs from the
     boundary point inward."""
     theta = tilt_angle(K)
-    sigma = zeta.sigma if sigma is None else sigma
+    sigma = zeta.sigma
     d_minus = chord(K, zeta.z, sigma - 2 * theta).delta
     d_plus = chord(K, zeta.z, sigma + 2 * theta).delta
     if d_minus <= d_plus:
@@ -573,11 +570,11 @@ def tilted_normal_audit(p: RootPolynomial, zeta: BoundaryPoint,
 
 
 def zero_class_product_audits(p: RootPolynomial, zeta: BoundaryPoint,
-                              K: ConvexDomain, sigma: float = None) -> list:
+                              K: ConvexDomain) -> list:
     """The five per-class product floors at the maximizer tau0 of the
     ball-class product over J, the outer quarter of the tilted chord, plus
     the final chained bound on |p'/p|."""
-    part = classify_zeros(p, zeta, K, sigma=sigma)
+    part = classify_zeros(p, zeta, K)
     theta, delta, d = part.theta, part.delta, K.diameter
     along_j = lambda t: t * delta * np.exp(1j * (math.pi / 2 - 2 * theta))
     z1, z2, z3, z4, z5 = [np.asarray(c, dtype=complex)

@@ -223,15 +223,12 @@ def elementary_arcs(K: ConvexDomain, r: float, theta: float = None) -> tuple:
     return tuple(sorted(arcs.values(), key=lambda a: (a.start_s, a.end_s)))
 
 
-def _arcs_overlap(a: BoundaryArc, b: BoundaryArc, perimeter=None) -> bool:
-    shifts = (0.0,) if perimeter is None else (-perimeter, 0.0, perimeter)
-    for sh in shifts:
-        if a.start_s <= b.end_s + sh and b.start_s + sh <= a.end_s:
-            return True
-    return False
+def _arcs_overlap(a: BoundaryArc, b: BoundaryArc, perimeter: float) -> bool:
+    return any(a.start_s <= b.end_s + sh and b.start_s + sh <= a.end_s
+               for sh in (-perimeter, 0.0, perimeter))
 
 
-def maximal_disjoint_family(arcs, perimeter: float = None) -> tuple:
+def maximal_disjoint_family(arcs, perimeter: float) -> tuple:
     """Greedy maximal family of pairwise disjoint arcs, scanned from the
     parameter origin.  More than four disjoint short arcs is impossible
     (five tangent turns of phi > 2*pi would not fit) and raises."""
@@ -496,15 +493,14 @@ class CaseSplit:
 
 def _arc_extrema(p, K, comp_arc):
     """(min, max) of log|p| over a component arc via a dense grid plus a
-    golden-section polish, within one grid step, of the grid min and of
-    the grid max."""
+    golden-section polish of the grid min and of the grid max between
+    their grid neighbours, inside the arc."""
     L = K.perimeter
     ss = np.linspace(comp_arc.start_s, comp_arc.end_s, _ARC_GRID)
-    step = (comp_arc.end_s - comp_arc.start_s) / (_ARC_GRID - 1)
     f = lambda s: log_abs(p, K.gamma(s % L))
     vals = f(ss)
-    _, v_lo_neg = _grid_max(lambda s: -f(s), ss, -vals, step)
-    return -v_lo_neg, _grid_max(f, ss, vals, step)[1]
+    _, v_lo_neg = _grid_max(lambda s: -f(s), ss, -vals)
+    return -v_lo_neg, _grid_max(f, ss, vals)[1]
 
 
 def case_split(p: RootPolynomial, K: ConvexDomain, q: float,
@@ -523,7 +519,7 @@ def case_split(p: RootPolynomial, K: ConvexDomain, q: float,
     # and of every component; each mass below sums a subset of the pieces,
     # nested so that mass(H and covered) <= mass(H) <= total holds exactly
     mp = p.monic()
-    h_intervals, _ = _h_intervals(mp, K, q, n=n)
+    h_intervals, _ = _h_intervals(mp, K, q)
     cov_pieces = covering.intervals()
     cuts = [s for iv in h_intervals + cov_pieces for s in iv]
     pieces = _boundary_pieces(K, cuts)

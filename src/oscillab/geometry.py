@@ -360,10 +360,8 @@ class ConvexDomain:
         out = crossv.min(axis=-1)
         return float(out) if out.ndim == 0 else out
 
-    def contains(self, z, tol: float | None = None):
-        tol = self.tol if tol is None else tol
-        m = self.interior_margin(z)
-        return m >= -tol
+    def contains(self, z):
+        return self.interior_margin(z) >= -self.tol
 
     def nearest_boundary_s(self, z: complex) -> float:
         """Arc parameter of the boundary point nearest to z."""
@@ -438,7 +436,7 @@ class ConvexDomain:
             mu /= mu @ np.abs(b - a)
             # the potential peaks at vertices and dips near quarter points
             scan = np.concatenate([a + f * (b - a) for f in (0, 0.25, 0.75)])
-            pot = _panel_log_integrals(verts, scan) @ mu
+            pot = _segment_log_integrals(verts, scan) @ mu
             self._capacity = (math.exp(V), math.exp(pot.min()),
                               math.exp(pot.max()))
         return self._capacity
@@ -808,7 +806,7 @@ _U = np.linspace(-1.0, 1.0, CAPACITY_PANELS + 1)
 _PANEL_ENDS = 0.5 * (1.0 + np.sign(_U) * (1.0 - (1.0 - np.abs(_U)) ** 3))
 
 
-def _panel_log_integrals(verts: np.ndarray, z: np.ndarray) -> np.ndarray:
+def _segment_log_integrals(verts: np.ndarray, z: np.ndarray) -> np.ndarray:
     """int log|z_i - w| ds(w) over every panel of the polygon with vertex
     array verts, shape (len(z), panels). With z - v_e = (x + iy) e^{i theta_e}
     in the frame of edge e, of length l_e, the integral over its part
@@ -833,7 +831,7 @@ def _symm_solve(verts: np.ndarray):
     a, b = ends[:, :-1].ravel(), ends[:, 1:].ravel()
     m = len(a)
     system = np.zeros((m + 1, m + 1))
-    system[:m, :m] = _panel_log_integrals(verts, 0.5 * (a + b))
+    system[:m, :m] = _segment_log_integrals(verts, 0.5 * (a + b))
     system[:m, m] = -1.0
     system[m, :m] = np.abs(b - a)
     sol = np.linalg.solve(system, np.append(np.zeros(m), 1.0))

@@ -22,10 +22,12 @@ integral so far, and so refines only where |p|^q is large.  The sup mesh
 is cut into large blocks first, and only the blocks whose bound reaches
 the top tier of the centre values seen so far are cut again, down to
 blocks of 16 points whose points the kernel evaluates; that gives the
-full mesh's result bit for bit.  Every grid maximizer, here and in the
-audits and the covering, polishes its grid peaks with one batched
-golden-section search (`_grid_max`), which stops as soon as its brackets
-cycle, with the result of the full 80 steps.
+full mesh's result bit for bit.  The sup norms polish up to 16 top-tier
+peaks of the cyclic mesh within one mesh step (`_mesh_sup`); the grid
+maximizers of the audits and the covering polish their grid argmax between
+its grid neighbours, so on a segment or an arc the result never leaves it
+(`_grid_max`).  Both run one batched golden-section search, which stops as
+soon as its brackets cycle, with the result of the full 80 steps.
 """
 
 from __future__ import annotations
@@ -454,6 +456,8 @@ _GOLDEN_STEPS = 80
 _SUP_BLOCK = 16
 # fewest blocks the coarsest level of the bound pass may have
 _SUP_COARSE_BLOCKS = 64
+# most top-tier mesh peaks the sup norms polish
+_SUP_PEAKS = 16
 
 
 def _golden_max(f, lo, hi):
@@ -505,35 +509,26 @@ def _golden_max(f, lo, hi):
             np.array([fc[i] if top[i] else fd[i] for i in range(k)]))
 
 
-def _grid_max(f, xs, vals, step=None, top=1) -> tuple:
-    """(x, value) of the max of the vectorized f, from its values vals on
-    the grid xs and one batched golden-section polish around the grid's
-    peaks.  With top = 1 the one peak is the grid argmax; a larger top
-    takes up to that many local maxima of the cyclic grid within
-    max(2, 1e-6 |max|) of the max, best first.  A peak is bracketed by its
-    position +- step, or with no step by its grid neighbours (clipped at
-    the ends).  A polished value replaces the grid max only when strictly
-    larger, the first such peak winning ties."""
-    i = int(np.argmax(vals))
-    best_x, best_v = float(xs[i]), float(vals[i])
-    if top == 1:
-        cand = np.array([i])
-    else:
-        is_peak = (vals >= np.roll(vals, 1)) & (vals >= np.roll(vals, -1))
-        cutoff = best_v - max(2.0, 1e-6 * abs(best_v))
-        cand = np.nonzero(is_peak & (vals >= cutoff))[0]
-        cand = cand[np.argsort(vals[cand])[::-1][:top]]
-    if step is None:
-        lo = xs[np.maximum(cand - 1, 0)]
-        hi = xs[np.minimum(cand + 1, xs.size - 1)]
-    else:
-        lo, hi = xs[cand] - step, xs[cand] + step
+def _polish(f, lo, hi, x, v) -> tuple:
+    """(x, v), or the best golden-section maximum of f on the brackets
+    [lo_i, hi_i] when that is strictly larger, the first such bracket
+    winning ties."""
     x_ref, v_ref = _golden_max(f, lo, hi)
-    better = v_ref > best_v
-    if better.any():
-        j = int(np.argmax(np.where(better, v_ref, -math.inf)))
+    better = np.where(v_ref > v, v_ref, -math.inf)
+    j = int(np.argmax(better))
+    if better[j] > v:
         return float(x_ref[j]), float(v_ref[j])
-    return best_x, best_v
+    return float(x), float(v)
+
+
+def _grid_max(f, xs, vals) -> tuple:
+    """(x, value) of the max of the vectorized f on [xs[0], xs[-1]], from
+    its values vals on the grid xs and a golden-section polish of the grid
+    argmax between its grid neighbours (clipped at the ends), so x never
+    leaves the grid's range."""
+    i = int(np.argmax(vals))
+    return _polish(f, xs[[max(i - 1, 0)]], xs[[min(i + 1, xs.size - 1)]],
+                   xs[i], vals[i])
 
 
 def _sup_mesh(p: RootPolynomial, K: ConvexDomain) -> np.ndarray:
@@ -548,11 +543,19 @@ def _sup_mesh(p: RootPolynomial, K: ConvexDomain) -> np.ndarray:
 
 def _mesh_sup(K: ConvexDomain, ss: np.ndarray, vals: np.ndarray,
               flog) -> SupNorm:
-    """The SupNorm of e^{flog} from its values vals on the mesh ss, with
-    up to 16 top-tier peaks polished within one mesh step."""
+    """The SupNorm of e^{flog} from its values vals on the cyclic mesh ss:
+    up to _SUP_PEAKS local peaks of the mesh within the top tier
+    max(2, 1e-6 |v|) of its max v, best first, each polished within one
+    mesh step on either side."""
     L = K.perimeter
-    s, log_value = _grid_max(lambda s: flog(K.gamma(s % L)), ss, vals,
-                             L / ss.size, top=16)
+    i = int(np.argmax(vals))
+    is_peak = (vals >= np.roll(vals, 1)) & (vals >= np.roll(vals, -1))
+    cutoff = vals[i] - max(2.0, 1e-6 * abs(vals[i]))
+    cand = np.nonzero(is_peak & (vals >= cutoff))[0]
+    cand = cand[np.argsort(vals[cand])[::-1][:_SUP_PEAKS]]
+    step = L / ss.size
+    s, log_value = _polish(lambda s: flog(K.gamma(s % L)), ss[cand] - step,
+                           ss[cand] + step, ss[i], vals[i])
     s %= L
     return SupNorm(log_value, s, complex(K.gamma(s)))
 
@@ -585,7 +588,7 @@ def _pruned_mesh_values(p: RootPolynomial, K: ConvexDomain, ss: np.ndarray,
     then evaluates.  A block lies in its disc, also where it straddles a
     vertex.  The mesh max v of a row lies in a block kept at every level,
     so v lies between lb and the max bound of each level, and the
-    threshold is at most _grid_max's top-tier cutoff
+    threshold is at most _mesh_sup's top-tier cutoff
     v - max(2, 1e-6 |v|).  A skipped point is therefore never the argmax
     nor a candidate, and a kept point at or above the cutoff is a local
     peak against -inf exactly when it is one against its true neighbour.

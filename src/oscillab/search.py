@@ -135,19 +135,13 @@ def _moved_sums(sums, roots: np.ndarray, zs: np.ndarray, j: int,
     return _root_sums(moved, zs, True)[::2]
 
 
-def _fast_log_M(roots: np.ndarray, zs: np.ndarray, ws: np.ndarray,
-                q: float) -> float:
-    """log of the oscillation factor of prod (z - root_j) on the fixed
-    quadrature; nodes colliding with a root drop out of both norms."""
-    return _log_M_from_sums(*_root_sums(roots, zs, True)[::2], ws, q)
-
-
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def _log_M_from_sums(plog: np.ndarray, inv: np.ndarray, ws: np.ndarray,
                      q: float) -> float:
-    """The value step of _fast_log_M, from the node sums.  At a q so huge
-    that q log|p| overflows it is no ratio of L^q norms; _restart_search
-    rejects such a q."""
+    """log of the oscillation factor of prod (z - root_j) on the fixed
+    quadrature, from its node sums (log|p|, p'/p); nodes colliding with a
+    root drop out of both norms.  At a q so huge that q log|p| overflows it
+    is no ratio of L^q norms; _restart_search rejects such a q."""
     dlog = plog + np.log(np.abs(inv))
     bad = ~np.isfinite(plog)
     if bad.any():

@@ -190,8 +190,7 @@ def test_c05_monic_segment_sup_never_beats_chebyshev():
             half = length / 2.0
             nodes = half * np.cos(
                 (2 * np.arange(1, k + 1) - 1) * math.pi / (2 * k))
-            attained = _segment_sup_product(nodes.astype(complex), half,
-                                            grid=4097)
+            attained = _segment_sup_product(nodes.astype(complex), half)
             assert abs(attained - floor) <= 1e-9, (length, k, attained)
     _verdict(5, "18 cells, 10^4 candidates each, floor respected and "
                 "attained by the cosine nodes")

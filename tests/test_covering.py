@@ -466,3 +466,45 @@ def test_case_split_masses_are_nested():
             assert det["log_mass_h_covered"] <= comps + 1e-12
             assert comps <= det["log_mass_total"] + 1e-12
     assert "I" in seen and "II.1" in seen
+
+
+def _dense_log_range(p, K, a, b):
+    """(min, max) of log|p(gamma(s))| over s in [a, b]: a 20 001-point
+    grid, then each extremum zoomed six times into a 1 001-point grid
+    between its grid neighbours, down to a few ulps of s, as a kink at a
+    vertex needs; every point lies in [a, b]."""
+    L = K.perimeter
+    f = lambda s: polynomials.log_abs(p, K.gamma(s % L))
+    out = []
+    for sign in (-1.0, 1.0):
+        lo, hi, best = a, b, -math.inf
+        for size in (20_001,) + (1001,) * 6:
+            ss = np.linspace(lo, hi, size)
+            vals = sign * f(ss)
+            i = int(np.argmax(vals))
+            best = max(best, float(vals[i]))
+            lo, hi = ss[max(i - 1, 0)], ss[min(i + 1, size - 1)]
+        out.append(sign * best)
+    return tuple(out)
+
+
+@pytest.mark.parametrize("K", [SQUARE, ConvexDomain.polygon([0, 3, 3 + 1j,
+                                                             1j])],
+                         ids=["square", "rect3x1"])
+def test_arc_extrema_stay_inside_the_arc(K):
+    # the polish of the grid min and max keeps to the arc: both lie in the
+    # range of |p| over a dense grid inside it, and match its ends
+    rng = np.random.default_rng(SEED + 6)
+    L = K.perimeter
+    for _ in range(25):
+        start = rng.uniform(0.0, L)
+        arc = BoundaryArc(start, start + rng.uniform(0.005, 0.2),
+                          "component")
+        p = RootPolynomial(1.0, tuple(K.sample_uniform(
+            int(rng.integers(5, 80)), rng)))
+        lo, hi = covering._arc_extrema(p, K, arc)
+        want_lo, want_hi = _dense_log_range(p, K, arc.start_s, arc.end_s)
+        assert want_lo - 1e-13 <= lo <= hi <= want_hi + 1e-13, (
+            arc, lo - want_lo, hi - want_hi)
+        assert (lo, hi) == pytest.approx((want_lo, want_hi), rel=0,
+                                         abs=1e-9)

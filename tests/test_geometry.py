@@ -65,7 +65,7 @@ def chord_oracle(K, z0, phi, iters=80):
     u = complex(math.cos(phi), math.sin(phi))
     span = 2.5 * K.diameter
     ts = np.linspace(-span, span, 4001)
-    inside = K.contains(z0 + ts * u, tol=0.0)
+    inside = K.interior_margin(z0 + ts * u) >= 0.0
     if not inside.any():
         return 0.0
     lo_i = int(np.argmax(inside))
@@ -74,7 +74,7 @@ def chord_oracle(K, z0, phi, iters=80):
     def refine(t_out, t_in):
         for _ in range(iters):
             mid = 0.5 * (t_out + t_in)
-            if K.contains(z0 + mid * u, tol=0.0):
+            if K.interior_margin(z0 + mid * u) >= 0.0:
                 t_in = mid
             else:
                 t_out = mid

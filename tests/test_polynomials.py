@@ -378,7 +378,7 @@ def test_pruned_sup_norms_equal_full_mesh(seed, n, coarse, family, lead):
     full = logabs_derivative(p, K.gamma(ss), with_log_abs=True)
     pruned = polynomials._pruned_mesh_values(p, K, ss, True)
     # a point is the kernel's value, or skipped (-inf) and below the
-    # top-tier cutoff of _grid_max
+    # top-tier cutoff of _mesh_sup
     for got, want in zip(pruned, full):
         top = want.max()
         cutoff = top - max(2.0, 1e-6 * abs(top))
@@ -454,6 +454,30 @@ def test_batched_golden_max_matches_single_brackets():
         x1, v1 = _golden_max(f, lo[i:i + 1], hi[i:i + 1])
         assert (x1[0], v1[0]) == (xs[i], vs[i])
         assert lo[i] <= xs[i] <= hi[i]
+
+
+@given(st.sampled_from(["rising", "falling", "peak", "kink-start",
+                        "kink-end"]),
+       st.floats(-10.0, 10.0), st.floats(1e-6, 10.0), st.integers(2, 300),
+       st.floats(0.0, 1.0), st.floats(-0.9, 0.9))
+@settings(max_examples=80, deadline=None)
+def test_grid_max_stays_in_the_grid_range(shape, a, width, size, where, t):
+    # the polish brackets the grid argmax by its grid neighbours, clipped
+    # at the ends, so x never leaves [xs[0], xs[-1]], and it only improves
+    # on the grid max with a value f attains
+    xs = np.linspace(a, a + width, size)
+    c = xs[0] + where * (xs[-1] - xs[0])
+    f = {"rising": lambda x: (1.0 + t) * x,
+         "falling": lambda x: -(1.0 + t) * x,
+         "peak": lambda x: -(x - c) ** 2 + t * (x - c),
+         "kink-start": lambda x: -np.abs(x - xs[0]) + t * (x - xs[0]),
+         "kink-end": lambda x: -np.abs(x - xs[-1]) + t * (x - xs[-1]),
+         }[shape]
+    vals = f(xs)
+    x, v = polynomials._grid_max(f, xs, vals)
+    assert xs[0] <= x <= xs[-1]
+    assert v >= vals.max()
+    assert v == f(np.array([x]))[0]
 
 
 _INV_GOLD = (math.sqrt(5.0) - 1.0) / 2.0
