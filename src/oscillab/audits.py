@@ -90,9 +90,7 @@ def log_h_constant(q: float) -> float:
 
 
 def log_h_threshold(p: RootPolynomial, K: ConvexDomain, q: float,
-                    log_sup: float = None) -> float:
-    if log_sup is None:
-        log_sup = sup_norm(p, K).log_value
+                    log_sup: float) -> float:
     return log_h_constant(q) - (2.0 / q) * math.log(max(p.n, 1)) + log_sup
 
 
@@ -189,7 +187,7 @@ def h_set(p: RootPolynomial, K: ConvexDomain, q: float) -> HSet:
 
 
 def point_in_h(p: RootPolynomial, K: ConvexDomain, q: float, z: complex,
-               log_sup: float = None) -> bool:
+               log_sup: float) -> bool:
     thr = log_h_threshold(p, K, q, log_sup=log_sup)
     return bool(log_abs(p, z) > thr)
 
@@ -250,7 +248,7 @@ def _segment_sup_product(ws: np.ndarray, half: float) -> float:
     polish around the best grid point."""
     xs = np.linspace(-half, half, _SEGMENT_GRID)
     f = lambda x: np.abs(x[:, None] - ws[None, :]).prod(axis=1)
-    return _grid_max(f, xs, f(xs))[1]
+    return _grid_max(f, xs, f(xs), ws.size)[1]
 
 
 def chebyshev_floor_check(J_length: float, k: int, trials: int = 20,
@@ -453,7 +451,7 @@ def _segment_log_max(p: RootPolynomial, z0: complex, z1: complex) -> float:
         return float(log_abs(p, np.asarray([z0]))[0])
     f = lambda t: log_abs(p, z0 + t * (z1 - z0))
     ts = np.linspace(0.0, 1.0, _CHORD_GRID)
-    return _grid_max(f, ts, f(ts))[1]
+    return _grid_max(f, ts, f(ts), p.n)[1]
 
 
 def tilted_normal_audit(p: RootPolynomial, zeta: BoundaryPoint,
@@ -592,7 +590,7 @@ def zero_class_product_audits(p: RootPolynomial, zeta: BoundaryPoint,
     if z3.size:
         ts = np.linspace(0.75, 1.0, _J_GRID)
         f = lambda t: log_prod(z3, along_j(t))
-        t0 = _grid_max(f, ts, f(ts))[0]
+        t0 = _grid_max(f, ts, f(ts), z3.size)[0]
     tau0 = complex(along_j(t0))
     sin_t = math.sin(theta)
     reports = []

@@ -499,8 +499,8 @@ def _arc_extrema(p, K, comp_arc):
     ss = np.linspace(comp_arc.start_s, comp_arc.end_s, _ARC_GRID)
     f = lambda s: log_abs(p, K.gamma(s % L))
     vals = f(ss)
-    _, v_lo_neg = _grid_max(lambda s: -f(s), ss, -vals)
-    return -v_lo_neg, _grid_max(f, ss, vals)[1]
+    _, v_lo_neg = _grid_max(lambda s: -f(s), ss, -vals, p.n)
+    return -v_lo_neg, _grid_max(f, ss, vals, p.n)[1]
 
 
 def case_split(p: RootPolynomial, K: ConvexDomain, q: float,

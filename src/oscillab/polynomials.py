@@ -27,7 +27,11 @@ peaks of the cyclic mesh within one mesh step (`_mesh_sup`); the grid
 maximizers of the audits and the covering polish their grid argmax between
 its grid neighbours, so on a segment or an arc the result never leaves it
 (`_grid_max`).  Both run one batched golden-section search, which stops as
-soon as its brackets cycle, with the result of the full 80 steps.
+soon as its brackets cycle, with the result of the full 80 steps.  Its
+probes depend on f only through the outcomes of its comparisons (Kiefer,
+Proc. AMS 4, 1953), so one f call evaluates every probe the next few steps
+could need, up to 32 points and 4096 (point, root) pairs, and serves all
+those steps, with the one-step search's result bit for bit.
 """
 
 from __future__ import annotations
@@ -451,6 +455,10 @@ class SupNorm:
 
 _INV_GOLD = (math.sqrt(5.0) - 1.0) / 2.0
 _GOLDEN_STEPS = 80
+# most probes, and most (probe, root) pairs, one speculative f call of the
+# golden-section search evaluates
+_SPEC_POINTS = 32
+_SPEC_PAIRS = 4096
 # consecutive mesh points per block of the sup norms' finest bound level,
 # and the ratio of block sizes between levels
 _SUP_BLOCK = 16
@@ -460,13 +468,60 @@ _SUP_COARSE_BLOCKS = 64
 _SUP_PEAKS = 16
 
 
-def _golden_max(f, lo, hi):
-    """Golden-section search for the max of f on every bracket [lo_i, hi_i]
-    at once.  Each step makes one f call on the array of the brackets' new
-    points, and each bracket runs the scalar recurrence in Python floats.
-    A numpy elementwise recurrence gives the same values bit for bit, but
-    its per-step overhead on the 16 brackets or fewer that callers pass
-    made a call about 1 to 2.5 ms slower (one core of a Xeon).
+def _golden_depth(brackets: int, n: int) -> int:
+    """Golden steps one f call serves for `brackets` brackets of a degree-n
+    polynomial: the largest depth d >= 1 whose probe trees, brackets *
+    (2^d - 1) points, hold at most _SPEC_POINTS points and _SPEC_PAIRS
+    (point, root) pairs."""
+    depth = 1
+    while True:
+        points = max(brackets, 1) * (2 ** (depth + 1) - 1)
+        if points > _SPEC_POINTS or points * n > _SPEC_PAIRS:
+            return depth
+        depth += 1
+
+
+def _golden_step(a, b, c, d, left) -> tuple:
+    """The state (a, b, c, d, x) after one golden step from the bracket
+    [a, b] with probes c < d: left keeps [a, d], else [c, b], and x is the
+    new probe, the recurrence's arithmetic exactly."""
+    if left:
+        x = d - _INV_GOLD * (d - a)
+        return a, d, x, c, x
+    x = c + _INV_GOLD * (b - c)
+    return c, b, d, x, x
+
+
+def _golden_tree(a, b, c, d, left, depth) -> list:
+    """The states after every golden step the next `depth` steps could
+    take from the bracket [a, b] with probes c < d, the first step going
+    left when `left`.  Heap order: node t's left child is 2t + 1, its right
+    child 2t + 2, so 2^depth - 1 nodes."""
+    tree = [_golden_step(a, b, c, d, left)]
+    for t in range(2 ** (depth - 1) - 1):
+        tree.append(_golden_step(*tree[t][:4], True))
+        tree.append(_golden_step(*tree[t][:4], False))
+    return tree
+
+
+def _golden_max(f, lo, hi, n):
+    """Golden-section search for the max of f, a row of a degree-n
+    polynomial, on every bracket [lo_i, hi_i] at once, each bracket running
+    the scalar recurrence in Python floats.  A numpy elementwise recurrence
+    gives the same values bit for bit, but its per-step overhead on the 16
+    brackets or fewer that callers pass made a call about 1 to 2.5 ms
+    slower (one core of a Xeon).
+
+    The probes a bracket visits depend on f only through the outcomes of
+    its comparisons, so one f call serves _golden_depth(brackets, n) steps:
+    it evaluates every probe those steps could need, the tree of
+    _golden_tree, and the steps then walk the tree by their comparisons.
+    f is asked only for points the one-step search could visit, and a
+    point's value does not depend on its batch, so every depth gives the
+    one-step result bit for bit, in fewer calls; the two first probes of
+    every bracket take one call too.  Building the trees as
+    numpy arrays was slower than Python floats (0.035 -> 0.053 s per
+    audit-lowdeg rotation).
 
     Once the brackets shrink to a few ulps their points repeat.  A step's
     outcome depends only on the batch state (a, b, c, d, fc, fd), so once
@@ -480,23 +535,31 @@ def _golden_max(f, lo, hi):
     k = len(a)
     c = [b[i] - _INV_GOLD * (b[i] - a[i]) for i in range(k)]
     d = [a[i] + _INV_GOLD * (b[i] - a[i]) for i in range(k)]
-    fc, fd = f(np.array(c)).tolist(), f(np.array(d)).tolist()
+    # both first probes of every bracket in one call, bracket by bracket
+    fcd = f(np.array([x for i in range(k) for x in (c[i], d[i])])).tolist()
+    fc, fd = fcd[0::2], fcd[1::2]
+    depth = _golden_depth(k, n)
     back2, back1 = None, a + b + c + d + fc + fd
+    level = span = 0
     for step in range(1, _GOLDEN_STEPS + 1):
-        left = [fc[i] >= fd[i] for i in range(k)]
-        x = []
+        if level == span:
+            # speculate: one f call on every probe of the next span steps
+            span = min(depth, _GOLDEN_STEPS + 1 - step)
+            trees = [_golden_tree(a[i], b[i], c[i], d[i], fc[i] >= fd[i],
+                                  span) for i in range(k)]
+            fx = f(np.array([node[4] for tree in trees for node in tree]
+                            )).tolist()
+            width, level, t = 2 ** span - 1, 0, [0] * k
         for i in range(k):
-            if left[i]:
-                b[i], d[i], fd[i] = d[i], c[i], fc[i]
-                x.append(b[i] - _INV_GOLD * (b[i] - a[i]))
+            left = fc[i] >= fd[i]
+            if level:
+                t[i] = 2 * t[i] + (1 if left else 2)
+            a[i], b[i], c[i], d[i], _ = trees[i][t[i]]
+            if left:
+                fc[i], fd[i] = fx[i * width + t[i]], fc[i]
             else:
-                a[i], c[i], fc[i] = c[i], d[i], fd[i]
-                x.append(a[i] + _INV_GOLD * (b[i] - a[i]))
-        for i, fx in enumerate(f(np.array(x)).tolist()):
-            if left[i]:
-                c[i], fc[i] = x[i], fx
-            else:
-                d[i], fd[i] = x[i], fx
+                fc[i], fd[i] = fd[i], fx[i * width + t[i]]
+        level += 1
         state = a + b + c + d + fc + fd
         if state == back2:
             if (_GOLDEN_STEPS - step) % 2:
@@ -509,11 +572,11 @@ def _golden_max(f, lo, hi):
             np.array([fc[i] if top[i] else fd[i] for i in range(k)]))
 
 
-def _polish(f, lo, hi, x, v) -> tuple:
-    """(x, v), or the best golden-section maximum of f on the brackets
-    [lo_i, hi_i] when that is strictly larger, the first such bracket
-    winning ties."""
-    x_ref, v_ref = _golden_max(f, lo, hi)
+def _polish(f, lo, hi, x, v, n) -> tuple:
+    """(x, v), or the best golden-section maximum of f, a row of a
+    degree-n polynomial, on the brackets [lo_i, hi_i] when that is strictly
+    larger, the first such bracket winning ties."""
+    x_ref, v_ref = _golden_max(f, lo, hi, n)
     better = np.where(v_ref > v, v_ref, -math.inf)
     j = int(np.argmax(better))
     if better[j] > v:
@@ -521,14 +584,14 @@ def _polish(f, lo, hi, x, v) -> tuple:
     return float(x), float(v)
 
 
-def _grid_max(f, xs, vals) -> tuple:
-    """(x, value) of the max of the vectorized f on [xs[0], xs[-1]], from
-    its values vals on the grid xs and a golden-section polish of the grid
-    argmax between its grid neighbours (clipped at the ends), so x never
-    leaves the grid's range."""
+def _grid_max(f, xs, vals, n) -> tuple:
+    """(x, value) of the max of the vectorized f, a row of a degree-n
+    polynomial, on [xs[0], xs[-1]], from its values vals on the grid xs and
+    a golden-section polish of the grid argmax between its grid neighbours
+    (clipped at the ends), so x never leaves the grid's range."""
     i = int(np.argmax(vals))
     return _polish(f, xs[[max(i - 1, 0)]], xs[[min(i + 1, xs.size - 1)]],
-                   xs[i], vals[i])
+                   xs[i], vals[i], n)
 
 
 def _sup_mesh(p: RootPolynomial, K: ConvexDomain) -> np.ndarray:
@@ -542,8 +605,9 @@ def _sup_mesh(p: RootPolynomial, K: ConvexDomain) -> np.ndarray:
 
 
 def _mesh_sup(K: ConvexDomain, ss: np.ndarray, vals: np.ndarray,
-              flog) -> SupNorm:
-    """The SupNorm of e^{flog} from its values vals on the cyclic mesh ss:
+              flog, n: int) -> SupNorm:
+    """The SupNorm of e^{flog}, a row of a degree-n polynomial, from its
+    values vals on the cyclic mesh ss:
     up to _SUP_PEAKS local peaks of the mesh within the top tier
     max(2, 1e-6 |v|) of its max v, best first, each polished within one
     mesh step on either side."""
@@ -555,7 +619,7 @@ def _mesh_sup(K: ConvexDomain, ss: np.ndarray, vals: np.ndarray,
     cand = cand[np.argsort(vals[cand])[::-1][:_SUP_PEAKS]]
     step = L / ss.size
     s, log_value = _polish(lambda s: flog(K.gamma(s % L)), ss[cand] - step,
-                           ss[cand] + step, ss[i], vals[i])
+                           ss[cand] + step, ss[i], vals[i], n)
     s %= L
     return SupNorm(log_value, s, complex(K.gamma(s)))
 
@@ -629,7 +693,7 @@ def sup_norm(p: RootPolynomial, K: ConvexDomain) -> SupNorm:
     around every local peak in the top tier."""
     ss = _sup_mesh(p, K)
     (vals,) = _pruned_mesh_values(p, K, ss, False)
-    return _mesh_sup(K, ss, vals, lambda z: log_abs(p, z))
+    return _mesh_sup(K, ss, vals, lambda z: log_abs(p, z), p.n)
 
 
 def sup_norms(p: RootPolynomial, K: ConvexDomain) -> tuple:
@@ -638,8 +702,9 @@ def sup_norms(p: RootPolynomial, K: ConvexDomain) -> tuple:
     sup_norm(p, K) bit for bit."""
     ss = _sup_mesh(p, K)
     vals_p, vals_dp = _pruned_mesh_values(p, K, ss, True)
-    return (_mesh_sup(K, ss, vals_p, lambda z: log_abs(p, z)),
-            _mesh_sup(K, ss, vals_dp, lambda z: logabs_derivative(p, z)))
+    return (_mesh_sup(K, ss, vals_p, lambda z: log_abs(p, z), p.n),
+            _mesh_sup(K, ss, vals_dp, lambda z: logabs_derivative(p, z),
+                      p.n))
 
 
 # ------------------------------------------------------------- Lq norms

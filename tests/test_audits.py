@@ -273,7 +273,7 @@ def test_h_gap_raises_outside_set():
     p = RootPolynomial(1.0, [1 + 0j])
     with pytest.raises(NotInH):
         h_point_log_gap(p, DISK, 1 + 0j, 2.0)
-    assert not point_in_h(p, DISK, 2.0, 1 + 0j)
+    assert not point_in_h(p, DISK, 2.0, 1 + 0j, sup_norm(p, DISK).log_value)
 
 
 def test_h_gap_threshold_points_clear_sharp_bound():

@@ -328,9 +328,10 @@ def _full_mesh_sups(p, K, vals=None):
     if vals is None:
         vals = logabs_derivative(p, K.gamma(ss), with_log_abs=True)
     vals_p, vals_dp = vals
-    return (polynomials._mesh_sup(K, ss, vals_p, lambda z: log_abs(p, z)),
+    return (polynomials._mesh_sup(K, ss, vals_p, lambda z: log_abs(p, z),
+                                  p.n),
             polynomials._mesh_sup(K, ss, vals_dp,
-                                  lambda z: logabs_derivative(p, z)))
+                                  lambda z: logabs_derivative(p, z), p.n))
 
 
 def _sup_case(K, rng, n, family):
@@ -448,10 +449,10 @@ def test_batched_golden_max_matches_single_brackets():
     f = lambda s: logabs_derivative(p, K.gamma(s))
     lo = rng.uniform(0.0, K.perimeter, size=12)
     hi = lo + rng.uniform(1e-6, 0.5, size=12)
-    xs, vs = _golden_max(f, lo, hi)
+    xs, vs = _golden_max(f, lo, hi, p.n)
     assert xs.shape == vs.shape == (12,)
     for i in range(12):
-        x1, v1 = _golden_max(f, lo[i:i + 1], hi[i:i + 1])
+        x1, v1 = _golden_max(f, lo[i:i + 1], hi[i:i + 1], p.n)
         assert (x1[0], v1[0]) == (xs[i], vs[i])
         assert lo[i] <= xs[i] <= hi[i]
 
@@ -459,12 +460,14 @@ def test_batched_golden_max_matches_single_brackets():
 @given(st.sampled_from(["rising", "falling", "peak", "kink-start",
                         "kink-end"]),
        st.floats(-10.0, 10.0), st.floats(1e-6, 10.0), st.integers(2, 300),
-       st.floats(0.0, 1.0), st.floats(-0.9, 0.9))
+       st.floats(0.0, 1.0), st.floats(-0.9, 0.9), st.integers(0, 5000))
 @settings(max_examples=80, deadline=None)
-def test_grid_max_stays_in_the_grid_range(shape, a, width, size, where, t):
+def test_grid_max_stays_in_the_grid_range(shape, a, width, size, where, t,
+                                          n):
     # the polish brackets the grid argmax by its grid neighbours, clipped
     # at the ends, so x never leaves [xs[0], xs[-1]], and it only improves
-    # on the grid max with a value f attains
+    # on the grid max with a value f attains; the degree n only sets how
+    # many golden steps one call of f serves
     xs = np.linspace(a, a + width, size)
     c = xs[0] + where * (xs[-1] - xs[0])
     f = {"rising": lambda x: (1.0 + t) * x,
@@ -474,7 +477,7 @@ def test_grid_max_stays_in_the_grid_range(shape, a, width, size, where, t):
          "kink-end": lambda x: -np.abs(x - xs[-1]) + t * (x - xs[-1]),
          }[shape]
     vals = f(xs)
-    x, v = polynomials._grid_max(f, xs, vals)
+    x, v = polynomials._grid_max(f, xs, vals, n)
     assert xs[0] <= x <= xs[-1]
     assert v >= vals.max()
     assert v == f(np.array([x]))[0]
@@ -513,41 +516,65 @@ def _golden_max_80(f, lo, hi):
             np.array([fc[i] if top[i] else fd[i] for i in range(k)]))
 
 
-@pytest.mark.parametrize("brackets", [1, 16])
-def test_golden_cycle_exit_matches_the_full_run(brackets):
+@pytest.mark.parametrize("brackets", [1, 2, 3, 16])
+def test_golden_cycle_exit_matches_the_full_run(brackets, monkeypatch):
     # brackets of log|p| and log|p'| along the boundary, as the sup polish
     # makes them, on the disk and random polygons; on a polygon the first
-    # bracket is centred on a vertex
+    # bracket is centred on a vertex.  The degree sets the depth, and every
+    # depth from 1 to the most this many brackets allow gives the verbatim
+    # 80-step search's result, with probes only inside the brackets
+    degree = {}
+    for n in sorted({int(1.2 ** e) for e in range(60)}):
+        degree.setdefault(polynomials._golden_depth(brackets, n), n)
+    top = polynomials._golden_depth(brackets, 0)
+    assert sorted(degree) == list(range(1, top + 1))
     rng = trial_rng(20260818, 40 + brackets)
     domains = [ConvexDomain.unit_disk()] + [
         random_convex_polygon(rng, vertices=int(rng.integers(3, 9)))
         for _ in range(3)]
-    calls, cases = [], 0
+    depth1_calls, cases = [], 0
     for K in domains:
         L = K.perimeter
-        p = RootPolynomial(1.0, random_roots_in(K, int(rng.integers(1, 40)),
-                                                rng))
-        for row in (log_abs, logabs_derivative):
-            def f(s, row=row):
-                calls[-1] += 1
-                return row(p, K.gamma(s % L))
-            for width in (1e-9, 1e-6, 1e-3, 0.1, 0.5):
-                centre = rng.uniform(0.0, L, brackets)
-                if K.kind == "polygon":
-                    centre[0] = K.vertex_s(1)
-                lo, hi = centre - width / 2, centre + width / 2
-                calls.append(0)
-                new = _golden_max(f, lo, hi)
-                calls.append(0)
-                ref = _golden_max_80(f, lo, hi)
-                assert calls[-1] == 2 + _GOLDEN_STEPS
-                for got, want in zip(new, ref):
-                    assert got.tobytes() == want.tobytes(), (K, width)
-                cases += 1
-    assert cases == 40
+        for depth, n in sorted(degree.items()):
+            p = RootPolynomial(1.0, random_roots_in(K, n, rng))
+            for row in (log_abs, logabs_derivative):
+                def f(s, row=row):
+                    probes.append(np.array(s))
+                    return row(p, K.gamma(s % L))
+                for width in (1e-9, 1e-6, 1e-3, 0.1, 0.5):
+                    centre = rng.uniform(0.0, L, brackets)
+                    if K.kind == "polygon":
+                        centre[0] = K.vertex_s(1)
+                    lo, hi = centre - width / 2, centre + width / 2
+                    probes = []
+                    ref = _golden_max_80(f, lo, hi)
+                    assert len(probes) == 2 + _GOLDEN_STEPS
+                    probes = []
+                    new = _golden_max(f, lo, hi, n)
+                    calls = len(probes)
+                    for got, want in zip(new, ref):
+                        assert got.tobytes() == want.tobytes(), (K, width)
+                    for s in probes:
+                        s = s.reshape(brackets, -1)
+                        assert (lo[:, None] <= s).all()
+                        assert (s <= hi[:, None]).all()
+                    # the same search one step per call
+                    with monkeypatch.context() as m:
+                        m.setattr(polynomials, "_SPEC_POINTS", 0)
+                        probes = []
+                        one = _golden_max(f, lo, hi, n)
+                    for got, want in zip(one, ref):
+                        assert got.tobytes() == want.tobytes(), (K, width)
+                    depth1_calls.append(len(probes))
+                    if depth >= 2:
+                        assert calls < len(probes)
+                    else:
+                        assert calls == len(probes)
+                    cases += 1
+    assert cases == 40 * top
     # the exit is taken, and early: most searches stop well before step 80
-    assert max(calls[::2]) <= 2 + _GOLDEN_STEPS
-    assert np.median(calls[::2]) < 2 + 70
+    assert max(depth1_calls) <= 2 + _GOLDEN_STEPS
+    assert np.median(depth1_calls) < 2 + 70
 
 
 def test_sup_polish_cost_does_not_grow_with_candidates(monkeypatch):
@@ -575,9 +602,11 @@ def test_sup_polish_cost_does_not_grow_with_candidates(monkeypatch):
     assert brackets == [16, 1]
     # the mesh takes a pass over the block centres (their bounds come from
     # _disc_log_bounds, not the kernel) and one over the kept blocks; the
-    # polish then takes two initial probes and at most 80 golden steps:
-    # 67 and 63 here, where the brackets cycle
-    assert calls == [2 + 2 + 67, 2 + 2 + 63]
+    # polish then takes one call for both first probes of every bracket
+    # and at most 80 golden steps: 67 and 63 here, where the brackets
+    # cycle.  16 brackets take one step per call; one bracket of degree 1
+    # takes five, so its 63 steps take 13 calls
+    assert calls == [2 + 1 + 67, 2 + 1 + 13]
     assert max(calls) <= 2 + 82
 
 
