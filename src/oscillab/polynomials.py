@@ -519,9 +519,9 @@ def _golden_max(f, lo, hi, n):
     f is asked only for points the one-step search could visit, and a
     point's value does not depend on its batch, so every depth gives the
     one-step result bit for bit, in fewer calls; the two first probes of
-    every bracket take one call too.  Building the trees as
+    every bracket take one call too.  A prototype that built the trees as
     numpy arrays was slower than Python floats (0.035 -> 0.053 s per
-    audit-lowdeg rotation).
+    audit-lowdeg rotation, one core of a 2-core machine).
 
     Once the brackets shrink to a few ulps their points repeat.  A step's
     outcome depends only on the batch state (a, b, c, d, fc, fd), so once
