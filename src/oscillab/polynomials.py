@@ -30,8 +30,9 @@ its grid neighbours, so on a segment or an arc the result never leaves it
 soon as its brackets cycle, with the result of the full 80 steps.  Its
 probes depend on f only through the outcomes of its comparisons (Kiefer,
 Proc. AMS 4, 1953), so one f call evaluates every probe the next few steps
-could need, up to 32 points and 4096 (point, root) pairs, and serves all
-those steps, with the one-step search's result bit for bit.
+could need, up to _SPEC_POINTS points and _SPEC_PAIRS (point, root)
+pairs, and serves all those steps, with the one-step search's result bit
+for bit.
 """
 
 from __future__ import annotations
@@ -519,9 +520,8 @@ def _golden_max(f, lo, hi, n):
     f is asked only for points the one-step search could visit, and a
     point's value does not depend on its batch, so every depth gives the
     one-step result bit for bit, in fewer calls; the two first probes of
-    every bracket take one call too.  A prototype that built the trees as
-    numpy arrays was slower than Python floats (0.035 -> 0.053 s per
-    audit-lowdeg rotation, one core of a 2-core machine).
+    every bracket take one call too.  The trees are built in Python floats:
+    numpy arrays were slower (README, "Sup norms").
 
     Once the brackets shrink to a few ulps their points repeat.  A step's
     outcome depends only on the batch state (a, b, c, d, fc, fd), so once

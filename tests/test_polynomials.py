@@ -522,12 +522,16 @@ def test_golden_cycle_exit_matches_the_full_run(brackets, monkeypatch):
     # makes them, on the disk and random polygons; on a polygon the first
     # bracket is centred on a vertex.  The degree sets the depth, and every
     # depth from 1 to the most this many brackets allow gives the verbatim
-    # 80-step search's result, with probes only inside the brackets
-    degree = {}
-    for n in sorted({int(1.2 ** e) for e in range(60)}):
-        degree.setdefault(polynomials._golden_depth(brackets, n), n)
-    top = polynomials._golden_depth(brackets, 0)
-    assert sorted(degree) == list(range(1, top + 1))
+    # 80-step search's result, with probes only inside the brackets.  Each
+    # depth draws its degree from all the degrees that give it; depth 1,
+    # which every higher degree gives, from the 39 lowest of them
+    depth_of = {n: polynomials._golden_depth(brackets, n)
+                for n in range(1, 2 * polynomials._SPEC_PAIRS)}
+    top = depth_of[1]
+    degrees = {depth: [n for n, d in depth_of.items() if d == depth]
+               for depth in range(1, top + 1)}
+    degrees[1] = degrees[1][:39]
+    assert all(degrees.values())
     rng = trial_rng(20260818, 40 + brackets)
     domains = [ConvexDomain.unit_disk()] + [
         random_convex_polygon(rng, vertices=int(rng.integers(3, 9)))
@@ -535,7 +539,8 @@ def test_golden_cycle_exit_matches_the_full_run(brackets, monkeypatch):
     depth1_calls, cases = [], 0
     for K in domains:
         L = K.perimeter
-        for depth, n in sorted(degree.items()):
+        for depth in range(1, top + 1):
+            n = int(rng.choice(degrees[depth]))
             p = RootPolynomial(1.0, random_roots_in(K, n, rng))
             for row in (log_abs, logabs_derivative):
                 def f(s, row=row):
@@ -573,8 +578,9 @@ def test_golden_cycle_exit_matches_the_full_run(brackets, monkeypatch):
                     cases += 1
     assert cases == 40 * top
     # the exit is taken, and early: most searches stop well before step 80
-    assert max(depth1_calls) <= 2 + _GOLDEN_STEPS
-    assert np.median(depth1_calls) < 2 + 70
+    # (one call for both first probes, then one call a step)
+    assert max(depth1_calls) <= 1 + _GOLDEN_STEPS
+    assert np.median(depth1_calls) < 1 + 70
 
 
 def test_sup_polish_cost_does_not_grow_with_candidates(monkeypatch):
