@@ -173,27 +173,35 @@ def _logabs_dp(p: RootPolynomial, flat: np.ndarray):
     thresh = _NEAR_ROOT * p.scale()
     la, nearest, recip = _root_sums(roots, flat, True)
     la += math.log(abs(p.lead))
-    close = nearest < thresh
+    close = np.flatnonzero(nearest < thresh)
     with np.errstate(divide="ignore", invalid="ignore"):
         out = la + np.log(np.abs(recip))
     # On or next to a root the log route cancels badly; switch to the
     # cofactor form.  The roots within thresh of the nearest one, c, count
     # as one root of multiplicity m, so with Q = prod over the others
     #   p'(z) = lead (z - c)^(m-1) Q(z) [m + (z - c) Q'(z)/Q(z)].
-    for i in np.nonzero(close)[0]:
-        z = flat[i]
-        c = roots[int(np.argmin(np.abs(z - roots)))]
-        cluster = np.abs(roots - c) < thresh
-        m = int(cluster.sum())
-        diff = z - roots[~cluster]
-        corr = abs(m + (z - c) * (1.0 / diff).sum())
-        if corr == 0 or (m > 1 and z == c):
-            out[i] = -math.inf
-            continue
-        out[i] = (math.log(abs(p.lead)) + float(np.log(np.abs(diff)).sum())
-                  + math.log(corr))
-        if m > 1:
-            out[i] += (m - 1) * math.log(abs(z - c))
+    # The points sharing a nearest root share its cluster, so each group
+    # takes one pass against the roots outside it; a row's sums do not
+    # depend on the other rows.
+    for sl in _point_chunks(close.size, roots.size):
+        idx = close[sl]
+        nearest_root = np.abs(flat[idx, None] - roots).argmin(axis=1)
+        for k in np.unique(nearest_root):
+            group = idx[nearest_root == k]
+            c = roots[k]
+            cluster = np.abs(roots - c) < thresh
+            m = int(cluster.sum())
+            diff = flat[group, None] - roots[~cluster]
+            log_q = np.log(np.abs(diff)).sum(axis=1)
+            dq = (1.0 / diff).sum(axis=1)
+            for i, z, lq, s in zip(group, flat[group], log_q, dq):
+                corr = abs(m + (z - c) * s)
+                if corr == 0 or (m > 1 and z == c):
+                    out[i] = -math.inf
+                    continue
+                out[i] = math.log(abs(p.lead)) + float(lq) + math.log(corr)
+                if m > 1:
+                    out[i] += (m - 1) * math.log(abs(z - c))
     return la, out
 
 
@@ -298,13 +306,18 @@ def _boundary_pieces(K: ConvexDomain, cuts=()) -> list:
     return pieces
 
 
-def _log_sum(values) -> float:
-    """log sum exp(values); -inf for no values."""
+def _log_sum(values):
+    """log sum exp(values) along the last axis: a float for 1-D values, one
+    per row for rows; -inf for no values.  A row's sum does not depend on
+    the other rows."""
     values = np.asarray(values, dtype=float)
-    top = values.max(initial=-math.inf)
-    if top == -math.inf:
-        return -math.inf
-    return float(top + np.log(np.sum(np.exp(values - top))))
+    top = values.max(axis=-1, initial=-math.inf, keepdims=True)
+    # a row of -inf (or of no values) sums exp(-inf) = 0 about a top of 0
+    top[top == -math.inf] = 0.0
+    with np.errstate(divide="ignore"):
+        out = (top + np.log(np.sum(np.exp(values - top), axis=-1,
+                                   keepdims=True)))[..., 0]
+    return float(out) if out.ndim == 0 else out
 
 
 def _row_log_sums(values: np.ndarray) -> np.ndarray:

@@ -8,23 +8,27 @@ loop scores candidates on fixed equal panels of the norms' 16-node
 Gauss-Legendre rule over the norms' boundary pieces, for speed, and
 incrementally: it keeps the per-node sums of log|z - r| and 1/(z - r) over
 the roots, so a candidate that moves one root costs O(nodes), not
-O(nodes * n).  The final incumbent is re-scored with the adaptive route, so
-the reported factor is the accurate one.
+O(nodes * n).  The restarts run in lock step: each keeps its own rng,
+roots, sums, radius and budget, and each tick scores the next proposal of
+every restart in one pass over (restarts, nodes) arrays, so the numpy call
+overhead of a proposal is shared and every restart's run is, bit for bit,
+the one it makes alone.  The final incumbent is re-scored with the
+adaptive route, so the reported factor is the accurate one.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .audits import AuditReport
 from .errors import QuadratureLimit
 from .geometry import ConvexDomain
-from .polynomials import (_QUAD_TOL, RootPolynomial, _boundary_pieces,
-                          _gauss_nodes, _log_sum, _root_sums,
-                          inverse_markov_factor)
+from .polynomials import (_CHUNK_PAIRS, _QUAD_TOL, RootPolynomial,
+                          _boundary_pieces, _gauss_nodes, _log_sum,
+                          _root_sums, inverse_markov_factor)
 
 __all__ = [
     "SearchConfig",
@@ -54,6 +58,13 @@ class SearchConfig:
     init_roots: tuple = ()
 
     def __post_init__(self):
+        for name in ("n", "budget", "restarts", "seed"):
+            value = getattr(self, name)
+            if (not isinstance(value, (int, np.integer))
+                    or isinstance(value, bool)):
+                raise ValueError(f"{name} must be an integer, not "
+                                 f"{value!r}")
+            object.__setattr__(self, name, int(value))
         if self.n < 1:
             raise ValueError("degree must be at least 1")
         if not self.q >= 1:
@@ -116,54 +127,68 @@ def _boundary_quadrature(K: ConvexDomain, n: int):
     return K.gamma(s.ravel()), w.ravel()
 
 
-def _moved_sums(sums, roots: np.ndarray, zs: np.ndarray, j: int,
-                z: complex):
+def _moved_sums(sums, roots: np.ndarray, zs: np.ndarray, j, z):
     """The node sums (log|p|, p'/p) of prod (z - root_j) after root j
     moves to z: add the new root's terms and subtract the old root's, in
-    O(nodes).  When that is not finite (a root on a node) the sums are
-    recomputed in full by the kernel's _root_sums, whose nearest-root
-    distances the search does not use."""
+    O(nodes).  Rows of sums and roots are independent searches, each
+    moving its own root j[r] to its own z[r], all in one pass; 1-D sums
+    and roots with a scalar j and z are one search.  A row that is not
+    finite (a root on a node) is recomputed in full by the kernel's
+    _root_sums, whose nearest-root distances the search does not use."""
     plog, inv = sums
-    new, old = zs - z, zs - roots[j]
+    shape = plog.shape
+    roots = np.atleast_2d(roots)
+    j, z = np.atleast_1d(j), np.atleast_1d(z)
+    new = zs - z[:, None]
+    old = zs - roots[np.arange(j.size), j][:, None]
     with np.errstate(divide="ignore", invalid="ignore"):
         plog = plog + (np.log(np.abs(new)) - np.log(np.abs(old)))
         inv = inv + (1.0 / new - 1.0 / old)
-    if np.isfinite(plog).all() and np.isfinite(inv).all():
-        return plog, inv
-    moved = roots.copy()
-    moved[j] = z
-    return _root_sums(moved, zs, True)[::2]
+    finite = np.isfinite(plog).all(axis=1) & np.isfinite(inv).all(axis=1)
+    for r in np.flatnonzero(~finite):
+        moved = roots[r].copy()
+        moved[j[r]] = z[r]
+        plog[r], inv[r] = _root_sums(moved, zs, True)[::2]
+    return plog.reshape(shape), inv.reshape(shape)
 
 
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def _log_M_from_sums(plog: np.ndarray, inv: np.ndarray, ws: np.ndarray,
-                     q: float) -> float:
+                     q: float):
     """log of the oscillation factor of prod (z - root_j) on the fixed
-    quadrature, from its node sums (log|p|, p'/p); nodes colliding with a
-    root drop out of both norms.  At a q so huge that q log|p| overflows it
-    is no ratio of L^q norms; _restart_search rejects such a q."""
+    quadrature, from its node sums (log|p|, p'/p) along the last axis: a
+    float for 1-D sums, an array of one score per row for rows.  Nodes
+    colliding with a root drop out of both norms.  At a q so huge that
+    q log|p| overflows it is no ratio of L^q norms; _start rejects such
+    a q."""
     dlog = plog + np.log(np.abs(inv))
     bad = ~np.isfinite(plog)
     if bad.any():
         plog = np.where(bad, -np.inf, plog)
     dlog = np.where(np.isnan(dlog), -np.inf, dlog)
     if q == math.inf:
-        return float(dlog.max() - plog.max())
+        out = dlog.max(axis=-1) - plog.max(axis=-1)
+        return float(out) if out.ndim == 0 else out
     logw = np.log(ws)
     return (_log_sum(q * dlog + logw) - _log_sum(q * plog + logw)) / q
 
 
-def _project(K: ConvexDomain, z: complex) -> complex:
-    if K.contains(z):
-        return complex(z)
-    return complex(K.gamma(K.nearest_boundary_s(z)))
+def _project(K: ConvexDomain, zs) -> np.ndarray:
+    """Each point of zs where K contains it, else its nearest boundary
+    point.  Membership is tested on the whole array; the projection stays
+    scalar, on each element as passed in, because numpy's array abs and
+    arctan2 round differently from the scalar path's."""
+    inside = K.contains(np.asarray(zs, dtype=complex))
+    return np.array([complex(z) if ok
+                     else complex(K.gamma(K.nearest_boundary_s(z)))
+                     for z, ok in zip(zs, inside)])
 
 
 def _init_roots(K: ConvexDomain, config: SearchConfig,
                 rng: np.random.Generator) -> np.ndarray:
     n, L = config.n, K.perimeter
     if config.init == "user":
-        return np.array([_project(K, r) for r in config.init_roots])
+        return _project(K, config.init_roots)
     if config.init == "boundary-uniform":
         return np.asarray(K.gamma(rng.uniform(0.0, L, n)), dtype=complex)
     if config.init == "interior-uniform":
@@ -176,25 +201,29 @@ def _init_roots(K: ConvexDomain, config: SearchConfig,
     pick = anchors[rng.integers(0, len(anchors), n)]
     jitter = 0.01 * K.diameter * (rng.standard_normal(n)
                                   + 1j * rng.standard_normal(n))
-    return np.array([_project(K, z) for z in pick + jitter])
+    return _project(K, pick + jitter)
 
 
-def _restart_search(K, config, restart, budget, zs, ws):
-    """One pattern-search run; returns (roots, score, evals, trace)."""
+def _start(K, config, restart, zs, ws):
+    """A restart's rng, start roots, node sums and first score.  Raises on
+    an infeasible start, and at a q the final rescore could not integrate,
+    so that such a q costs one score."""
     rng = np.random.default_rng([config.seed, restart])
     roots = _init_roots(K, config, rng)
-    if not all(K.contains(z) for z in roots):
+    if not K.contains(roots).all():
         raise ValueError("infeasible start: a root lies outside K")
     sums = _root_sums(roots, zs, True)[::2]
     cur = _log_M_from_sums(*sums, ws, config.q)
     # where q log|p| leaves the float range the score is no ratio of L^q
-    # norms, and the rescore could not integrate |p|^q either
-    plog = sums[0][np.isfinite(sums[0])]
-    with np.errstate(over="ignore"):
-        overflows = not np.isfinite(config.q * plog).all()
-    if config.q < math.inf and (overflows or not math.isfinite(cur)):
-        raise QuadratureLimit(f"q = {config.q:g}: q log|p| overflows on "
-                              f"the search quadrature")
+    # norms, and the rescore could not integrate |p|^q either; at q = inf
+    # the test has no meaning (and inf * 0 at a node with |p| = 1 warns)
+    if config.q < math.inf:
+        plog = sums[0][np.isfinite(sums[0])]
+        with np.errstate(over="ignore"):
+            overflows = not np.isfinite(config.q * plog).all()
+        if overflows or not math.isfinite(cur):
+            raise QuadratureLimit(f"q = {config.q:g}: q log|p| overflows "
+                                  f"on the search quadrature")
     # where q log|p| or q log|p'| rounds by _QUAD_TOL at its peak, the
     # rescore's panels there may never settle: rescore the first start
     # before spending the budget, so a q it cannot integrate stops here
@@ -205,37 +234,88 @@ def _restart_search(K, config, restart, budget, zs, ws):
     if (restart == 0 and config.q < math.inf
             and config.q * peak * np.finfo(float).eps >= _QUAD_TOL):
         inverse_markov_factor(RootPolynomial(1.0, tuple(roots)), K, config.q)
-    evals = 1
-    accepted = 0
-    trace = [(0, cur)]
-    radius = 0.25 * K.diameter
-    while evals < budget and radius > 1e-9 * K.diameter:
-        improved = False
-        for j in rng.permutation(config.n):
-            if evals >= budget:
-                break
-            step = radius * complex(rng.standard_normal(),
-                                    rng.standard_normal())
-            z = _project(K, roots[j] + step)
-            prop = _moved_sums(sums, roots, zs, j, z)
-            val = _log_M_from_sums(*prop, ws, config.q)
-            evals += 1
-            if val < cur:
-                roots[j] = z
-                sums, cur = prop, val
-                improved = True
-                trace.append((evals - 1, val))
-                accepted += 1
-                # a full recompute every n accepted moves bounds the
-                # rounding drift of the incremental sums; the incumbent is
-                # rescored from them so that a proposal projected back onto
-                # the same root ties with it exactly, as in a full rescore
-                if accepted % config.n == 0:
-                    sums = _root_sums(roots, zs, True)[::2]
-                    cur = _log_M_from_sums(*sums, ws, config.q)
-        if not improved:
-            radius *= 0.5
-    return roots, cur, evals, trace
+    return rng, roots, sums, cur
+
+
+@dataclass
+class _Run:
+    """One restart's own state in the lock-step search."""
+
+    rng: np.random.Generator
+    budget: int
+    cur: float
+    radius: float
+    trace: list
+    evals: int = 1
+    accepted: int = 0
+    improved: bool = False
+
+
+def _restart_search(K, config, first, budgets, zs, ws):
+    """Pattern searches for the restarts first, first + 1, ..., one per
+    budget, run in lock step; returns one (roots, score, evals, trace) per
+    restart, each what that restart would return run alone.
+
+    At each sweep every live restart draws its order and then all its
+    steps (standard_normal(2m) draws what 2m scalar draws would), and
+    projects its proposals.  Tick k then scores the k-th proposal of every
+    live restart in one pass over (restarts, nodes) arrays, and each
+    restart accepts or rejects its own."""
+    n, q = config.n, config.q
+    rngs, roots, sums, curs = zip(*(_start(K, config, first + i, zs, ws)
+                                    for i in range(len(budgets))))
+    roots = np.array(roots)
+    plog = np.array([s[0] for s in sums])
+    inv = np.array([s[1] for s in sums])
+    runs = [_Run(rng, budget, cur, 0.25 * K.diameter, [(0, cur)])
+            for rng, budget, cur in zip(rngs, budgets, curs)]
+    orders = np.zeros(roots.shape, dtype=int)
+    props = np.zeros(roots.shape, dtype=complex)
+    sweep = np.zeros(len(runs), dtype=int)
+    while True:
+        sweep[:] = 0
+        for i, run in enumerate(runs):
+            if run.evals >= run.budget or run.radius <= 1e-9 * K.diameter:
+                continue
+            m = min(n, run.budget - run.evals)
+            orders[i, :m] = run.rng.permutation(n)[:m]
+            g = run.rng.standard_normal(2 * m)
+            props[i, :m] = _project(K, roots[i, orders[i, :m]]
+                                    + run.radius * (g[0::2] + 1j * g[1::2]))
+            sweep[i] = m
+            run.improved = False
+        if not sweep.any():
+            break
+        for k in range(sweep.max()):
+            rows = np.flatnonzero(sweep > k)
+            sel = slice(None) if rows.size == len(runs) else rows
+            moved = _moved_sums((plog[sel], inv[sel]), roots[sel], zs,
+                                orders[sel, k], props[sel, k])
+            vals = _log_M_from_sums(*moved, ws, q)
+            for row, i in enumerate(rows):
+                run = runs[i]
+                run.evals += 1
+                if vals[row] < run.cur:
+                    roots[i, orders[i, k]] = props[i, k]
+                    plog[i], inv[i] = moved[0][row], moved[1][row]
+                    run.cur = float(vals[row])
+                    run.improved = True
+                    run.trace.append((run.evals - 1, run.cur))
+                    run.accepted += 1
+                    # a full recompute every n accepted moves bounds the
+                    # rounding drift of the incremental sums; the
+                    # incumbent is rescored from them so that a proposal
+                    # projected back onto the same root ties with it
+                    # exactly, as in a full rescore
+                    if run.accepted % n == 0:
+                        sums = _root_sums(roots[i], zs, True)[::2]
+                        plog[i], inv[i] = sums
+                        run.cur = _log_M_from_sums(*sums, ws, q)
+        for i in np.flatnonzero(sweep):
+            if not runs[i].improved:
+                runs[i].radius *= 0.5
+    return [(roots[i], run.cur, run.evals, run.trace)
+            for i, run in enumerate(runs)]
 
 
 def _decimate(points):
@@ -258,8 +338,10 @@ def minimize_oscillation(K: ConvexDomain,
                          config: SearchConfig) -> SearchResult:
     """Multi-restart pattern search for the smallest oscillation factor.
 
-    Restarts run one after another with independent derived seeds and
-    merge deterministically in restart order."""
+    Restarts have independent derived seeds and run in lock step, in groups
+    of at most _CHUNK_PAIRS // nodes restarts; each restart's run, and so
+    the result, is the one the restarts would give run one after another.
+    They merge deterministically in restart order."""
     if config.budget < 10 * config.n:
         raise ValueError(
             f"budget {config.budget} too small: need at least 10*n = "
@@ -269,8 +351,13 @@ def minimize_oscillation(K: ConvexDomain,
     base, extra = divmod(config.budget, config.restarts)
     budgets = [base + (1 if i < extra else 0)
                for i in range(config.restarts)]
-    runs = [_restart_search(K, config, i, budgets[i], zs, ws)
-            for i in range(config.restarts)]
+    # restarts run in lock step in groups of at most _CHUNK_PAIRS
+    # (restart, node) pairs, so memory grows with neither restarts nor n
+    group = max(1, _CHUNK_PAIRS // zs.size)
+    runs = []
+    for first in range(0, config.restarts, group):
+        runs += _restart_search(K, config, first,
+                                budgets[first:first + group], zs, ws)
 
     # merge: sequential evaluation indexing, incumbent = running minimum
     merged = []

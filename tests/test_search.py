@@ -1,14 +1,18 @@
 """Pattern search over root configurations and its bound checks."""
 
 import itertools
+import json
 import math
 
 import numpy as np
 import pytest
 
 from oscillab import polynomials, search
+from oscillab.errors import QuadratureLimit
 from oscillab.geometry import ConvexDomain
-from oscillab.polynomials import RootPolynomial, inverse_markov_factor
+from oscillab.polynomials import (_QUAD_TOL, RootPolynomial,
+                                  inverse_markov_factor)
+from oscillab.sampling import random_convex_polygon
 from oscillab.search import (
     SearchConfig,
     SearchResult,
@@ -47,6 +51,28 @@ def test_config_validation():
         SearchConfig(n=3, q=2.0, budget=100, seed=1, init="magic")
     with pytest.raises(ValueError):
         SearchConfig(n=3, q=2.0, budget=100, seed=1, init="user")
+
+
+@pytest.mark.parametrize("field, value", [
+    ("n", 4.0), ("n", True), ("budget", 100.5), ("budget", "100"),
+    ("restarts", 2.5), ("restarts", np.bool_(True)), ("seed", 1.0),
+    ("seed", None)])
+def test_config_rejects_non_integers(field, value):
+    # budget=100.5 once ran 101 evaluations and recorded "budget": 100.5,
+    # and n=4.0 or restarts=2.5 failed deep inside numpy
+    args = {"n": 4, "q": 2.0, "budget": 100, "seed": 1, "restarts": 2}
+    args[field] = value
+    with pytest.raises(ValueError, match=field):
+        SearchConfig(**args)
+
+
+def test_config_takes_numpy_integers_as_ints():
+    cfg = SearchConfig(n=np.int64(4), q=2.0, budget=np.int32(100),
+                       seed=np.uint8(1), restarts=np.int64(2))
+    record = cfg.as_record()
+    assert json.loads(json.dumps(record)) == record
+    assert all(type(record[k]) is int
+               for k in ("n", "budget", "seed", "restarts"))
 
 
 def test_budget_floor_rejected():
@@ -310,3 +336,231 @@ def test_reference_families_square_fixtures():
     assert equi == pytest.approx(8.261034937263, rel=1e-6)
     corners = set(fams[3].roots)
     assert corners == set(SQUARE.vertices)
+
+
+# ------------------------------------------- the serial search, as oracle
+#
+# A verbatim copy of the search loop as it was before the restarts ran in
+# lock step, one restart after another, with its helpers: 1-D node sums,
+# a scalar projection and the scalar log-sum-exp.  The lock-step search
+# must give every score, trace entry and evaluation count of it, bit for
+# bit.
+
+def _serial_log_sum(values) -> float:
+    """log sum exp(values); -inf for no values."""
+    values = np.asarray(values, dtype=float)
+    top = values.max(initial=-math.inf)
+    if top == -math.inf:
+        return -math.inf
+    return float(top + np.log(np.sum(np.exp(values - top))))
+
+
+def _serial_moved_sums(sums, roots: np.ndarray, zs: np.ndarray, j: int,
+                       z: complex):
+    plog, inv = sums
+    new, old = zs - z, zs - roots[j]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        plog = plog + (np.log(np.abs(new)) - np.log(np.abs(old)))
+        inv = inv + (1.0 / new - 1.0 / old)
+    if np.isfinite(plog).all() and np.isfinite(inv).all():
+        return plog, inv
+    moved = roots.copy()
+    moved[j] = z
+    return _root_sums(moved, zs, True)[::2]
+
+
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
+def _serial_log_M(plog: np.ndarray, inv: np.ndarray, ws: np.ndarray,
+                  q: float) -> float:
+    dlog = plog + np.log(np.abs(inv))
+    bad = ~np.isfinite(plog)
+    if bad.any():
+        plog = np.where(bad, -np.inf, plog)
+    dlog = np.where(np.isnan(dlog), -np.inf, dlog)
+    if q == math.inf:
+        return float(dlog.max() - plog.max())
+    logw = np.log(ws)
+    return (_serial_log_sum(q * dlog + logw)
+            - _serial_log_sum(q * plog + logw)) / q
+
+
+def _serial_project(K: ConvexDomain, z: complex) -> complex:
+    if K.contains(z):
+        return complex(z)
+    return complex(K.gamma(K.nearest_boundary_s(z)))
+
+
+def _serial_init_roots(K: ConvexDomain, config: SearchConfig,
+                       rng: np.random.Generator) -> np.ndarray:
+    n, L = config.n, K.perimeter
+    if config.init == "user":
+        return np.array([_serial_project(K, r) for r in config.init_roots])
+    if config.init == "boundary-uniform":
+        return np.asarray(K.gamma(rng.uniform(0.0, L, n)), dtype=complex)
+    if config.init == "interior-uniform":
+        return np.asarray(K.sample_uniform(n, rng), dtype=complex)
+    # corner-clustered: pile roots near randomly chosen extreme points
+    if K.kind == "polygon":
+        anchors = np.array(K.vertices, dtype=complex)
+    else:
+        anchors = np.asarray(K.gamma(rng.uniform(0.0, L, 4)), dtype=complex)
+    pick = anchors[rng.integers(0, len(anchors), n)]
+    jitter = 0.01 * K.diameter * (rng.standard_normal(n)
+                                  + 1j * rng.standard_normal(n))
+    return np.array([_serial_project(K, z) for z in pick + jitter])
+
+
+def _serial_restart_search(K, config, restart, budget, zs, ws):
+    """One pattern-search run; returns (roots, score, evals, trace)."""
+    rng = np.random.default_rng([config.seed, restart])
+    roots = _serial_init_roots(K, config, rng)
+    if not all(K.contains(z) for z in roots):
+        raise ValueError("infeasible start: a root lies outside K")
+    sums = _root_sums(roots, zs, True)[::2]
+    cur = _serial_log_M(*sums, ws, config.q)
+    # where q log|p| leaves the float range the score is no ratio of L^q
+    # norms, and the rescore could not integrate |p|^q either
+    plog = sums[0][np.isfinite(sums[0])]
+    with np.errstate(over="ignore"):
+        overflows = not np.isfinite(config.q * plog).all()
+    if config.q < math.inf and (overflows or not math.isfinite(cur)):
+        raise QuadratureLimit(f"q = {config.q:g}: q log|p| overflows on "
+                              f"the search quadrature")
+    # where q log|p| or q log|p'| rounds by _QUAD_TOL at its peak, the
+    # rescore's panels there may never settle: rescore the first start
+    # before spending the budget, so a q it cannot integrate stops here
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rows = (sums[0], sums[0] + np.log(np.abs(sums[1])))
+    peak = max((abs(float(v[np.isfinite(v)].max())) for v in rows
+                if np.isfinite(v).any()), default=0.0)
+    if (restart == 0 and config.q < math.inf
+            and config.q * peak * np.finfo(float).eps >= _QUAD_TOL):
+        inverse_markov_factor(RootPolynomial(1.0, tuple(roots)), K, config.q)
+    evals = 1
+    accepted = 0
+    trace = [(0, cur)]
+    radius = 0.25 * K.diameter
+    while evals < budget and radius > 1e-9 * K.diameter:
+        improved = False
+        for j in rng.permutation(config.n):
+            if evals >= budget:
+                break
+            step = radius * complex(rng.standard_normal(),
+                                    rng.standard_normal())
+            z = _serial_project(K, roots[j] + step)
+            prop = _serial_moved_sums(sums, roots, zs, j, z)
+            val = _serial_log_M(*prop, ws, config.q)
+            evals += 1
+            if val < cur:
+                roots[j] = z
+                sums, cur = prop, val
+                improved = True
+                trace.append((evals - 1, val))
+                accepted += 1
+                # a full recompute every n accepted moves bounds the
+                # rounding drift of the incremental sums; the incumbent is
+                # rescored from them so that a proposal projected back onto
+                # the same root ties with it exactly, as in a full rescore
+                if accepted % config.n == 0:
+                    sums = _root_sums(roots, zs, True)[::2]
+                    cur = _serial_log_M(*sums, ws, config.q)
+        if not improved:
+            radius *= 0.5
+    return roots, cur, evals, trace
+
+
+def _serial_restarts(K, config, first, budgets, zs, ws):
+    return [_serial_restart_search(K, config, first + i, budget, zs, ws)
+            for i, budget in enumerate(budgets)]
+
+
+def _outcome(K, config):
+    """The search's record as JSON text, or its error."""
+    try:
+        return json.dumps(minimize_oscillation(K, config).as_record())
+    except (ValueError, QuadratureLimit) as exc:
+        return repr(exc)
+
+
+def _lockstep_and_serial(monkeypatch, K, config):
+    got = _outcome(K, config)
+    # the serial start tested q log|p| for overflow at q = inf too, where
+    # inf * 0 at a node with |p| = 1 warns; the warning changed no value
+    with monkeypatch.context() as m, np.errstate(invalid="ignore"):
+        m.setattr(search, "_restart_search", _serial_restarts)
+        want = _outcome(K, config)
+    return got, want
+
+
+TRIANGLE = ConvexDomain.polygon([0, 2, 0.5 + 1.3j])
+RANDOM_POLYGON = random_convex_polygon(np.random.default_rng(SEED), 7)
+ORACLE_DOMAINS = (DISK, SQUARE, RECT3X1, TRIANGLE, OCTAGON, RANDOM_POLYGON)
+INITS = ("boundary-uniform", "interior-uniform", "corner-clustered")
+
+
+def _oracle_budget(n, restarts):
+    # divisible by neither n nor the restart count, where either is > 1
+    budget = (30 if n <= 5 else 10) * n + 1
+    while any(k > 1 and budget % k == 0 for k in (n, restarts)):
+        budget += 1
+    return budget
+
+
+def test_lockstep_search_matches_the_serial_oracle(monkeypatch):
+    # every domain meets every degree once; q, init and the restart count
+    # cycle so that each domain sees each of them
+    for a, K in enumerate(ORACLE_DOMAINS):
+        for b, n in enumerate((1, 2, 3, 5, 16, 64)):
+            restarts = (1, 3, 7)[(a + b) % 3]
+            config = SearchConfig(
+                n=n, q=(1.0, 2.0, 3.0, math.inf)[(a + b) % 4],
+                budget=_oracle_budget(n, restarts), seed=SEED + 10 * a + b,
+                restarts=restarts, init=INITS[(a + 2 * b) % 3])
+            got, want = _lockstep_and_serial(monkeypatch, K, config)
+            assert got == want, (a, config)
+            assert got.startswith("{"), got
+
+
+def test_lockstep_search_matches_the_oracle_on_a_node(monkeypatch):
+    # every root on one quadrature node makes log|p| -inf there, so a
+    # proposal falls back to the full _root_sums until all roots have left
+    # the node (on the disk none leaves: every proposal of every tick falls
+    # back); and a q whose q log|p| overflows stops at the first score
+    full = []
+    monkeypatch.setattr(search, "_root_sums",
+                        lambda *args: full.append(1) or _root_sums(*args))
+    for K in ORACLE_DOMAINS:
+        node = complex(_boundary_quadrature(K, 3)[0][7])
+        for q in (2.0, math.inf):
+            config = SearchConfig(n=3, q=q, budget=61, seed=SEED,
+                                  restarts=3, init="user",
+                                  init_roots=(node,) * 3)
+            full.clear()
+            got, want = _lockstep_and_serial(monkeypatch, K, config)
+            assert got == want, (K, q)
+            if K is DISK and q == 2.0:
+                # one for each start and each proposal of the lock-step
+                # run (the oracle calls its own import)
+                assert len(full) == config.budget
+        config = SearchConfig(n=4, q=1e308, budget=50, seed=1)
+        got, want = _lockstep_and_serial(monkeypatch, K, config)
+        assert got == want and "QuadratureLimit" in got, K
+
+
+def test_lockstep_groups_stay_within_the_chunk(monkeypatch):
+    # 200 restarts run in groups, each scoring at most _CHUNK_PAIRS
+    # (restart, node) pairs a tick, however many restarts there are
+    sizes = []
+    scored = search._moved_sums
+
+    def counted(sums, *args):
+        sizes.append(sums[0].size)
+        return scored(sums, *args)
+
+    monkeypatch.setattr(search, "_moved_sums", counted)
+    config = SearchConfig(n=2, q=2.0, budget=1001, seed=SEED, restarts=200)
+    got, want = _lockstep_and_serial(monkeypatch, SQUARE, config)
+    assert got == want
+    assert max(sizes) <= polynomials._CHUNK_PAIRS
+    # the first group fills the chunk: lock step, not one row at a time
+    assert max(sizes) > _boundary_quadrature(SQUARE, 2)[0].size

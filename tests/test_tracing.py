@@ -1,9 +1,12 @@
 """The span tracer in perfbench/tracing.py wraps `_adaptive_log_integral`
 by name and reads its panel count from element 1 of the result; these
 checks hold the library to that contract.  The tracer file is imported
-read-only."""
+read-only, and the benchmark's own short self-test runs in a child
+process."""
 
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 import oscillab.cli  # noqa: F401  the tracer wraps every oscillab module
@@ -64,3 +67,14 @@ def test_markov_factor_traces_one_quadrature_span():
     _, joint = polynomials._adaptive_log_integral(
         p, K, 2.0, polynomials._boundary_pieces(K), True)
     assert spans[0][tracing.ATTRS]["panels"] == joint
+
+
+def test_benchmark_selftest_passes():
+    # every workload in short mode, untraced and traced: the result line
+    # keeps its contract, the run is correct, and the traced pass gives
+    # the untraced pass's results (about 7 s)
+    proc = subprocess.run([sys.executable, "perfbench/selftest.py"],
+                          cwd=TRACING.parents[1], capture_output=True,
+                          text=True, timeout=900)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.rstrip().endswith("selftest passed")
