@@ -173,9 +173,11 @@ def _logabs_dp(p: RootPolynomial, flat: np.ndarray):
     thresh = _NEAR_ROOT * p.scale()
     la, nearest, recip = _root_sums(roots, flat, True)
     la += math.log(abs(p.lead))
-    close = np.flatnonzero(nearest < thresh)
+    close = np.nonzero(nearest < thresh)[0]
     with np.errstate(divide="ignore", invalid="ignore"):
         out = la + np.log(np.abs(recip))
+    if close.size == 0:
+        return la, out
     # On or next to a root the log route cancels badly; switch to the
     # cofactor form.  The roots within thresh of the nearest one, c, count
     # as one root of multiplicity m, so with Q = prod over the others
@@ -307,17 +309,21 @@ def _boundary_pieces(K: ConvexDomain, cuts=()) -> list:
 
 
 def _log_sum(values):
-    """log sum exp(values) along the last axis: a float for 1-D values, one
-    per row for rows; -inf for no values.  A row's sum does not depend on
-    the other rows."""
+    """log sum exp(values) along the last axis: a float for 1-D values; for
+    rows (rows, k) an array of each row's 1-D sum, bit for bit.  -inf for
+    no values."""
     values = np.asarray(values, dtype=float)
+    if values.ndim == 1:
+        top = values.max(initial=-math.inf)
+        if top == -math.inf:
+            return -math.inf
+        return float(top + np.log(np.sum(np.exp(values - top))))
     top = values.max(axis=-1, initial=-math.inf, keepdims=True)
     # a row of -inf (or of no values) sums exp(-inf) = 0 about a top of 0
     top[top == -math.inf] = 0.0
     with np.errstate(divide="ignore"):
-        out = (top + np.log(np.sum(np.exp(values - top), axis=-1,
-                                   keepdims=True)))[..., 0]
-    return float(out) if out.ndim == 0 else out
+        return (top + np.log(np.sum(np.exp(values - top), axis=-1,
+                                    keepdims=True)))[:, 0]
 
 
 def _row_log_sums(values: np.ndarray) -> np.ndarray:

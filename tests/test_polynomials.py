@@ -305,6 +305,63 @@ def test_kernel_value_independent_of_batch():
         assert logabs_derivative(p, zs[i:i + 1])[0] == ld[i]
 
 
+def _per_point_logabs_dp(p, flat):
+    """The cofactor fallback as it was, one point at a time, verbatim."""
+    roots = p._root_array
+    thresh = polynomials._NEAR_ROOT * p.scale()
+    la, nearest, recip = polynomials._root_sums(roots, flat, True)
+    la += math.log(abs(p.lead))
+    close = nearest < thresh
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = la + np.log(np.abs(recip))
+    for i in np.nonzero(close)[0]:
+        z = flat[i]
+        c = roots[int(np.argmin(np.abs(z - roots)))]
+        cluster = np.abs(roots - c) < thresh
+        m = int(cluster.sum())
+        diff = z - roots[~cluster]
+        corr = abs(m + (z - c) * (1.0 / diff).sum())
+        if corr == 0 or (m > 1 and z == c):
+            out[i] = -math.inf
+            continue
+        out[i] = (math.log(abs(p.lead)) + float(np.log(np.abs(diff)).sum())
+                  + math.log(corr))
+        if m > 1:
+            out[i] += (m - 1) * math.log(abs(z - c))
+    return la, out
+
+
+@pytest.mark.parametrize("case", ["equispaced-n64", "cluster", "multiple",
+                                  "many-chunks"])
+def test_grouped_cofactor_fallback_matches_the_per_point_loop(case):
+    # the points near a root go through the fallback grouped by nearest
+    # root, one pass per group, each with the per-point loop's value
+    rng = trial_rng(20260818, 33)
+    square = ConvexDomain.unit_square()
+    if case in ("equispaced-n64", "many-chunks"):
+        roots = np.array(reference_families(square, 64)[1].roots)
+    elif case == "cluster":
+        # pairs and a triple of roots closer than the near-root threshold
+        base = np.array(random_roots_in(square, 12, rng))
+        roots = np.concatenate([base, base[:4] + 3e-14, base[:1] - 2e-14j])
+    else:
+        roots = np.array([0.3 + 0.4j] * 31 + list(random_roots_in(square, 5,
+                                                                  rng)))
+    lead = 2.5 - 1j
+    p = RootPolynomial(lead, tuple(roots))
+    reps = 24 if case == "many-chunks" else 3
+    on = np.repeat(roots, reps)
+    jitter = 1e-13 * (rng.normal(size=on.size) + 1j * rng.normal(size=on.size))
+    zs = np.concatenate([on, on + jitter, square.gamma(
+        rng.uniform(0, square.perimeter, size=50))])
+    zs = zs[rng.permutation(zs.size)]
+    la, ld = logabs_derivative(p, zs, with_log_abs=True)
+    want_la, want_ld = _per_point_logabs_dp(p, zs)
+    assert np.array_equal(la, want_la)
+    assert np.array_equal(ld, want_ld)
+    assert np.isneginf(ld).any() == (case in ("cluster", "multiple"))
+
+
 @pytest.mark.parametrize("K", [ConvexDomain.regular_polygon(8),
                                ConvexDomain.unit_square(),
                                ConvexDomain.unit_disk()],

@@ -519,6 +519,13 @@ def test_lockstep_search_matches_the_serial_oracle(monkeypatch):
             got, want = _lockstep_and_serial(monkeypatch, K, config)
             assert got == want, (a, config)
             assert got.startswith("{"), got
+        # a budget past the radius stop: the restarts leave the lock step
+        # at different ticks, before the budget runs out
+        config = SearchConfig(n=2, q=(1.0, 2.0, 3.0, math.inf)[a % 4],
+                              budget=601, seed=SEED + a, restarts=3)
+        got, want = _lockstep_and_serial(monkeypatch, K, config)
+        assert got == want, (a, config)
+        assert json.loads(got)["evaluations"] < config.budget
 
 
 def test_lockstep_search_matches_the_oracle_on_a_node(monkeypatch):
