@@ -313,17 +313,14 @@ def _log_sum(values):
     rows (rows, k) an array of each row's 1-D sum, bit for bit.  -inf for
     no values."""
     values = np.asarray(values, dtype=float)
-    if values.ndim == 1:
-        top = values.max(initial=-math.inf)
-        if top == -math.inf:
-            return -math.inf
-        return float(top + np.log(np.sum(np.exp(values - top))))
-    top = values.max(axis=-1, initial=-math.inf, keepdims=True)
+    rows = np.atleast_2d(values)
+    top = rows.max(axis=-1, initial=-math.inf, keepdims=True)
     # a row of -inf (or of no values) sums exp(-inf) = 0 about a top of 0
     top[top == -math.inf] = 0.0
     with np.errstate(divide="ignore"):
-        return (top + np.log(np.sum(np.exp(values - top), axis=-1,
-                                    keepdims=True)))[:, 0]
+        out = (top + np.log(np.sum(np.exp(rows - top), axis=-1,
+                                   keepdims=True)))[:, 0]
+    return float(out[0]) if values.ndim == 1 else out
 
 
 def _row_log_sums(values: np.ndarray) -> np.ndarray:

@@ -362,6 +362,36 @@ def test_grouped_cofactor_fallback_matches_the_per_point_loop(case):
     assert np.isneginf(ld).any() == (case in ("cluster", "multiple"))
 
 
+def _scalar_log_sum(values) -> float:
+    """The 1-D log-sum-exp formula the norms used before _log_sum took
+    rows, verbatim."""
+    values = np.asarray(values, dtype=float)
+    top = values.max(initial=-math.inf)
+    if top == -math.inf:
+        return -math.inf
+    return float(top + np.log(np.sum(np.exp(values - top))))
+
+
+def test_log_sum_gives_the_scalar_formula_for_a_vector_and_each_row():
+    # one path serves 1-D values (the norms, audits and covering) and rows
+    # (the search's restarts); both give the 1-D formula bit for bit
+    rng = trial_rng(20260818, 34)
+    for k in (0, 1, 2, 7, 1024, 1537):
+        # one term of 1 and many near e^-10: the log of a sum near 1 shows
+        # the rounding of the sum itself
+        rows = rng.standard_normal((5, k)) - 10.0
+        if k:
+            rows[:, 0] = 0.0
+            rows[1, rng.integers(0, k, size=max(1, k // 3))] = -math.inf
+            rows[2] = -math.inf
+        want = [_scalar_log_sum(row) for row in rows]
+        got = [polynomials._log_sum(row) for row in rows]
+        assert all(type(g) is float for g in got)
+        assert [repr(g) for g in got] == [repr(w) for w in want]
+        assert [repr(float(g)) for g in polynomials._log_sum(rows)] == [
+            repr(w) for w in want]
+
+
 @pytest.mark.parametrize("K", [ConvexDomain.regular_polygon(8),
                                ConvexDomain.unit_square(),
                                ConvexDomain.unit_disk()],
