@@ -140,11 +140,11 @@ def _short_chords(K, bp, r, theta):
     return short_m | short_p, np.where(use_p, c_p.D, c_m.D)
 
 
-def _elementary_arc(K, s, D, length_bound, phi):
+def _elementary_arc(K, s, s_far, length_bound, phi):
     """Elementary arc for the non-good point at s: the short boundary arc
-    between the point and the far end D of its short tilted chord."""
+    between the point and the far end, at s_far, of its short tilted
+    chord."""
     L = K.perimeter
-    s_far = K.nearest_boundary_s(D)
     fwd = (s_far - s) % L
     if fwd == 0.0:
         return None
@@ -175,7 +175,7 @@ def _non_good_set(K, r, theta):
                              "chords are all 2R cos(2 theta) < r long")
     snap = VERTEX_SNAP_REL * K.perimeter
     cum = K._cum_arr[:-1]
-    end = np.asarray(K._edge_len) - snap
+    end = K._edge_len_arr - snap
     e = K._dir_arr
     # axes: (tilt sign, edge i of the point, exit edge k)
     phi = (np.asarray(K._edge_angle) + 0.5 * math.pi
@@ -213,9 +213,10 @@ def elementary_arcs(K: ConvexDomain, r: float, theta: float = None) -> tuple:
     inset = np.minimum(VERTEX_SNAP_REL * L, 0.5 * (hi - lo))
     bp = K.boundary_point(np.sort(np.concatenate([lo + inset, hi - inset])))
     found, far_ends = _short_chords(K, bp, r, theta)
+    s_far = K.nearest_boundary_s(far_ends[found])
     arcs = {}
-    for s, ok, D in zip(bp.s.tolist(), found.tolist(), far_ends.tolist()):
-        arc = _elementary_arc(K, s, D, length_bound, phi) if ok else None
+    for s, sf in zip(bp.s[found].tolist(), s_far.tolist()):
+        arc = _elementary_arc(K, s, sf, length_bound, phi)
         if arc is None:
             continue
         key = (round(arc.start_s / L, 9), round(arc.end_s / L, 9))

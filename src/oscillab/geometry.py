@@ -225,10 +225,11 @@ class ConvexDomain:
         self._cum = cum
         self.perimeter = cum[-1]
         # array copies for the vectorized lookups, built once, read-only
-        arrays = [np.array(x) for x in (cum, vs, self._edge_dir)]
+        arrays = [np.array(x) for x in (cum, vs, self._edge_dir, lens)]
         for arr in arrays:
             arr.flags.writeable = False
-        self._cum_arr, self._vert_arr, self._dir_arr = arrays
+        (self._cum_arr, self._vert_arr, self._dir_arr,
+         self._edge_len_arr) = arrays
         # lifted tangent angles: base[i] is the direction angle of edge i,
         # lifted so that base is increasing and base[0] in (-pi, pi]
         base = [math.atan2(self._edge_dir[0].imag, self._edge_dir[0].real)]
@@ -306,7 +307,7 @@ class ConvexDomain:
             i = np.minimum(np.searchsorted(cum, s, side="right") - 1, n - 1)
             off = s - cum[i]
             at_start = off <= snap
-            snapped = at_start | (np.asarray(self._edge_len)[i] - off <= snap)
+            snapped = at_start | (self._edge_len_arr[i] - off <= snap)
             j = np.where(at_start, i, (i + 1) % n)
             a_edge = np.asarray(self._edge_angle)
             a_plus = np.where(snapped, a_edge[j], a_edge[i])
@@ -363,21 +364,33 @@ class ConvexDomain:
     def contains(self, z):
         return self.interior_margin(z) >= -self.tol
 
-    def nearest_boundary_s(self, z: complex) -> float:
-        """Arc parameter of the boundary point nearest to z."""
+    def nearest_boundary_s(self, z):
+        """Arc parameter of the boundary point nearest to z, vectorized
+        over arrays; a float for a scalar z.
+
+        A polygon point takes the nearest of its feet on the edges, the
+        first edge on a tie.  The distances come from np.hypot and the
+        disk's angle from math.atan2, which round as abs and atan2 on a
+        Python complex do; numpy's complex abs and arctan2 do not."""
+        z = np.asarray(z, dtype=complex)
         if self.kind == "disk":
-            ang = math.atan2((z - self.center).imag, (z - self.center).real)
-            return (ang % TWO_PI) * self.radius
-        best = (math.inf, 0.0)
-        for i, (a, dirv, elen) in enumerate(
-                zip(self.vertices, self._edge_dir, self._edge_len)):
-            t = (z - a).real * dirv.real + (z - a).imag * dirv.imag
-            t = min(max(t, 0.0), elen)
-            p = a + t * dirv
-            dist = abs(z - p)
-            if dist < best[0]:
-                best = (dist, self._cum[i] + t)
-        return best[1] % self.perimeter
+            dz = (z - self.center).ravel()
+            ang = np.fromiter(map(math.atan2, dz.imag.tolist(),
+                                  dz.real.tolist()), float, dz.size)
+            out = np.mod(ang.reshape(z.shape), TWO_PI) * self.radius
+            return float(out) if out.ndim == 0 else out
+        rel = z[..., None] - self._vert_arr
+        dirs = self._dir_arr
+        t = np.minimum(np.maximum(rel.real * dirs.real + rel.imag * dirs.imag,
+                                  0.0), self._edge_len_arr)
+        dist = np.hypot(z.real[..., None] - (self._vert_arr.real
+                                             + t * dirs.real),
+                        z.imag[..., None] - (self._vert_arr.imag
+                                             + t * dirs.imag))
+        i = dist.argmin(axis=-1)[..., None]
+        out = np.mod(np.take_along_axis(self._cum_arr[:-1] + t, i, -1)[..., 0],
+                     self.perimeter)
+        return float(out) if out.ndim == 0 else out
 
     def as_clip_polygon(self, resolution: int = 1024) -> list[complex]:
         """Vertex list used for clipping and area sampling.

@@ -323,11 +323,6 @@ def _log_sum(values):
     return float(out[0]) if values.ndim == 1 else out
 
 
-def _row_log_sums(values: np.ndarray) -> np.ndarray:
-    """log sum exp along each row of values (rows, k); -inf for k = 0."""
-    return np.logaddexp.reduce(values, axis=1, initial=-math.inf)
-
-
 def _gauss_nodes(a: np.ndarray, b: np.ndarray) -> tuple:
     """Arclength nodes and weights, each an array (panels, 16), of the
     16-node Gauss-Legendre rule on every panel [a_i, b_i]."""
@@ -410,7 +405,7 @@ def _adaptive_log_integral(p: RootPolynomial, K: ConvexDomain, q: float,
                 kept_owner.append(owner[skip])
                 kept_value.append(coarse[:, skip])
                 kept_total = np.logaddexp(kept_total,
-                                          _row_log_sums(coarse[:, skip]))
+                                          _log_sum(coarse[:, skip]))
                 a, mid, b, owner = a[~skip], mid[~skip], b[~skip], owner[~skip]
                 coarse, negligible = coarse[:, ~skip], negligible[:, ~skip]
         halves = _panel_log_integrals(K, flog, q, np.concatenate([a, mid]),
@@ -428,9 +423,9 @@ def _adaptive_log_integral(p: RootPolynomial, K: ConvexDomain, q: float,
                 f"{depth}")
         kept_owner.append(owner[~split])
         kept_value.append(fine[:, ~split])
-        kept_total = np.logaddexp(kept_total, _row_log_sums(fine[:, ~split]))
+        kept_total = np.logaddexp(kept_total, _log_sum(fine[:, ~split]))
         log_floor = math.log(_NEGLIGIBLE) + np.logaddexp(
-            kept_total, _row_log_sums(np.minimum(coarse, fine)[:, split]))
+            kept_total, _log_sum(np.minimum(coarse, fine)[:, split]))
         panels += 2 * int(split.sum())
         a, mid, b = a[split], mid[split], b[split]
         a, b = np.concatenate([a, mid]), np.concatenate([mid, b])

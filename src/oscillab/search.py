@@ -19,6 +19,7 @@ adaptive route, so the reported factor is the accurate one.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,6 +68,10 @@ class SearchConfig:
             object.__setattr__(self, name, int(value))
         if self.n < 1:
             raise ValueError("degree must be at least 1")
+        if (not isinstance(self.q, numbers.Real)
+                or isinstance(self.q, (bool, np.bool_))):
+            raise ValueError(f"q must be a real number, not {self.q!r}")
+        object.__setattr__(self, "q", float(self.q))
         if not self.q >= 1:
             raise ValueError("q must be at least 1 (or inf)")
         if not self.budget >= self.restarts >= 1:
@@ -131,57 +136,82 @@ def _moved_sums(sums, roots: np.ndarray, zs: np.ndarray, j, z):
     """The node sums (log|p|, p'/p) of prod (z - root_j) after root j
     moves to z: add the new root's terms and subtract the old root's, in
     O(nodes).  Rows of sums and roots are independent searches, each
-    moving its own root j[r] to its own z[r], all in one pass; 1-D sums
-    and roots with a scalar j and z are one search.  A row that is not
+    moving its own root j[r] to its own z[r], all in one pass, under
+    np.errstate(divide and invalid ignored); 1-D sums and roots with a
+    scalar j and z are one search, run as one row.  A row that is not
     finite (a root on a node) is recomputed in full by the kernel's
     _root_sums, whose nearest-root distances the search does not use."""
     plog, inv = sums
-    shape = plog.shape
-    roots = np.atleast_2d(roots)
-    j, z = np.atleast_1d(j), np.atleast_1d(z)
+    if plog.ndim == 1:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            plog, inv = _moved_sums((plog[None], inv[None]), roots[None],
+                                    zs, np.array([j]), np.array([z]))
+        return plog[0], inv[0]
+    # the arithmetic of plog + (log|new| - log|old|) and
+    # inv + (1/new - 1/old), on temporaries reused in place
     new = zs - z[:, None]
-    old = zs - roots[np.arange(j.size), j][:, None]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        plog = plog + (np.log(np.abs(new)) - np.log(np.abs(old)))
-        inv = inv + (1.0 / new - 1.0 / old)
+    old = zs - roots[np.arange(len(j)), j][:, None]
+    dlog = np.log(np.abs(new))
+    dlog -= np.log(np.abs(old))
+    plog = np.add(plog, dlog, out=dlog)
+    new = np.divide(1.0, new, out=new)
+    new -= np.divide(1.0, old, out=old)
+    inv = np.add(inv, new, out=new)
     finite = np.isfinite(plog).all(axis=1) & np.isfinite(inv).all(axis=1)
-    for r in np.flatnonzero(~finite):
-        moved = roots[r].copy()
-        moved[j[r]] = z[r]
-        plog[r], inv[r] = _root_sums(moved, zs, True)[::2]
-    return plog.reshape(shape), inv.reshape(shape)
+    if not finite.all():
+        for r in np.flatnonzero(~finite):
+            moved = roots[r].copy()
+            moved[j[r]] = z[r]
+            plog[r], inv[r] = _root_sums(moved, zs, True)[::2]
+    return plog, inv
 
 
-@np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def _log_M_from_sums(plog: np.ndarray, inv: np.ndarray, ws: np.ndarray,
                      q: float):
     """log of the oscillation factor of prod (z - root_j) on the fixed
     quadrature, from its node sums (log|p|, p'/p) along the last axis: a
-    float for 1-D sums, an array of one score per row for rows.  Nodes
-    colliding with a root drop out of both norms.  At a q so huge that
-    q log|p| overflows it is no ratio of L^q norms; _start rejects such
-    a q."""
-    dlog = plog + np.log(np.abs(inv))
-    bad = ~np.isfinite(plog)
-    if bad.any():
-        plog = np.where(bad, -np.inf, plog)
-    dlog = np.where(np.isnan(dlog), -np.inf, dlog)
+    float for 1-D sums, an array of one score per row for rows."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        out = _row_scores(np.atleast_2d(plog), np.atleast_2d(inv),
+                          np.log(ws), q)
+    return float(out[0]) if np.ndim(plog) == 1 else out
+
+
+def _row_scores(plog: np.ndarray, inv: np.ndarray, logw: np.ndarray,
+                q: float) -> np.ndarray:
+    """_log_M_from_sums on rows (rows, nodes) of node sums, with the log
+    weights logw, under np.errstate(divide, over and invalid ignored).
+    Nodes colliding with a root drop out of both norms.  Both norms' log
+    sums come from one _log_sum pass over the stacked rows, each row the
+    value it has alone.  At a q so huge that q log|p| overflows it is no
+    ratio of L^q norms; _start rejects such a q."""
+    dlog = np.log(np.abs(inv))
+    dlog = np.add(plog, dlog, out=dlog)
+    dlog[np.isnan(dlog)] = -np.inf
+    finite = np.isfinite(plog)
+    if not finite.all():
+        plog = np.where(finite, plog, -np.inf)
     if q == math.inf:
-        out = dlog.max(axis=-1) - plog.max(axis=-1)
-        return float(out) if out.ndim == 0 else out
-    logw = np.log(ws)
-    return (_log_sum(q * dlog + logw) - _log_sum(q * plog + logw)) / q
+        return dlog.max(axis=1) - plog.max(axis=1)
+    # q dlog + logw over q plog + logw, stacked for one _log_sum pass
+    rows = len(plog)
+    both = np.empty((2 * rows, plog.shape[1]))
+    np.multiply(q, dlog, out=both[:rows])
+    np.multiply(q, plog, out=both[rows:])
+    both += logw
+    sums = _log_sum(both)
+    return (sums[:rows] - sums[rows:]) / q
 
 
 def _project(K: ConvexDomain, zs) -> np.ndarray:
     """Each point of zs where K contains it, else its nearest boundary
-    point.  Membership is tested on the whole array; the projection stays
-    scalar, on each element as passed in, because numpy's array abs and
-    arctan2 round differently from the scalar path's."""
-    inside = K.contains(np.asarray(zs, dtype=complex))
-    return np.array([complex(z) if ok
-                     else complex(K.gamma(K.nearest_boundary_s(z)))
-                     for z, ok in zip(zs, inside)])
+    point, as a new complex array: one membership test and one
+    nearest-boundary lookup on the points outside."""
+    zs = np.array(zs, dtype=complex)
+    out = ~K.contains(zs)
+    if out.any():
+        zs[out] = K.gamma(K.nearest_boundary_s(zs[out]))
+    return zs
 
 
 def _init_roots(K: ConvexDomain, config: SearchConfig,
@@ -214,26 +244,29 @@ def _start(K, config, restart, zs, ws):
         raise ValueError("infeasible start: a root lies outside K")
     sums = _root_sums(roots, zs, True)[::2]
     cur = _log_M_from_sums(*sums, ws, config.q)
+    # at q = inf neither test below has a meaning (and inf * 0 at a node
+    # with |p| = 1 warns)
+    if config.q == math.inf:
+        return rng, roots, sums, cur
     # where q log|p| leaves the float range the score is no ratio of L^q
-    # norms, and the rescore could not integrate |p|^q either; at q = inf
-    # the test has no meaning (and inf * 0 at a node with |p| = 1 warns)
-    if config.q < math.inf:
-        plog = sums[0][np.isfinite(sums[0])]
-        with np.errstate(over="ignore"):
-            overflows = not np.isfinite(config.q * plog).all()
-        if overflows or not math.isfinite(cur):
-            raise QuadratureLimit(f"q = {config.q:g}: q log|p| overflows "
-                                  f"on the search quadrature")
+    # norms, and the rescore could not integrate |p|^q either
+    plog = sums[0][np.isfinite(sums[0])]
+    with np.errstate(over="ignore"):
+        overflows = not np.isfinite(config.q * plog).all()
+    if overflows or not math.isfinite(cur):
+        raise QuadratureLimit(f"q = {config.q:g}: q log|p| overflows "
+                              f"on the search quadrature")
     # where q log|p| or q log|p'| rounds by _QUAD_TOL at its peak, the
     # rescore's panels there may never settle: rescore the first start
     # before spending the budget, so a q it cannot integrate stops here
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rows = (sums[0], sums[0] + np.log(np.abs(sums[1])))
-    peak = max((abs(float(v[np.isfinite(v)].max())) for v in rows
-                if np.isfinite(v).any()), default=0.0)
-    if (restart == 0 and config.q < math.inf
-            and config.q * peak * np.finfo(float).eps >= _QUAD_TOL):
-        inverse_markov_factor(RootPolynomial(1.0, tuple(roots)), K, config.q)
+    if restart == 0:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rows = (sums[0], sums[0] + np.log(np.abs(sums[1])))
+        peak = max((abs(float(v[np.isfinite(v)].max())) for v in rows
+                    if np.isfinite(v).any()), default=0.0)
+        if config.q * peak * np.finfo(float).eps >= _QUAD_TOL:
+            inverse_markov_factor(RootPolynomial(1.0, tuple(roots)), K,
+                                  config.q)
     return rng, roots, sums, cur
 
 
@@ -257,21 +290,24 @@ def _restart_search(K, config, first, budgets, zs, ws):
     restart, each what that restart would return run alone.
 
     At each sweep every live restart draws its order and then all its
-    steps (standard_normal(2m) draws what 2m scalar draws would), and
-    projects its proposals.  Tick k then scores the k-th proposal of every
-    live restart in one pass over (restarts, nodes) arrays, and each
-    restart accepts or rejects its own."""
+    steps (standard_normal(2m) draws what 2m scalar draws would), and the
+    sweep's proposals of all restarts are projected in one call.  Tick k
+    then scores the k-th proposal of every live restart in one pass over
+    (restarts, nodes) arrays, and each restart accepts or rejects its
+    own."""
     n, q = config.n, config.q
     rngs, roots, sums, curs = zip(*(_start(K, config, first + i, zs, ws)
                                     for i in range(len(budgets))))
     roots = np.array(roots)
     plog = np.array([s[0] for s in sums])
     inv = np.array([s[1] for s in sums])
+    logw = np.log(ws)
     runs = [_Run(rng, budget, cur, 0.25 * K.diameter, [(0, cur)])
             for rng, budget, cur in zip(rngs, budgets, curs)]
     orders = np.zeros(roots.shape, dtype=int)
     props = np.zeros(roots.shape, dtype=complex)
     sweep = np.zeros(len(runs), dtype=int)
+    steps = np.arange(n)
     while True:
         sweep[:] = 0
         for i, run in enumerate(runs):
@@ -280,37 +316,40 @@ def _restart_search(K, config, first, budgets, zs, ws):
             m = min(n, run.budget - run.evals)
             orders[i, :m] = run.rng.permutation(n)[:m]
             g = run.rng.standard_normal(2 * m)
-            props[i, :m] = _project(K, roots[i, orders[i, :m]]
-                                    + run.radius * (g[0::2] + 1j * g[1::2]))
+            props[i, :m] = (roots[i, orders[i, :m]]
+                            + run.radius * (g[0::2] + 1j * g[1::2]))
             sweep[i] = m
             run.improved = False
         if not sweep.any():
             break
-        for k in range(sweep.max()):
-            rows = np.flatnonzero(sweep > k)
-            sel = slice(None) if rows.size == len(runs) else rows
-            moved = _moved_sums((plog[sel], inv[sel]), roots[sel], zs,
-                                orders[sel, k], props[sel, k])
-            vals = _log_M_from_sums(*moved, ws, q)
-            for row, i in enumerate(rows):
-                run = runs[i]
-                run.evals += 1
-                if vals[row] < run.cur:
-                    roots[i, orders[i, k]] = props[i, k]
-                    plog[i], inv[i] = moved[0][row], moved[1][row]
-                    run.cur = float(vals[row])
-                    run.improved = True
-                    run.trace.append((run.evals - 1, run.cur))
-                    run.accepted += 1
-                    # a full recompute every n accepted moves bounds the
-                    # rounding drift of the incremental sums; the
-                    # incumbent is rescored from them so that a proposal
-                    # projected back onto the same root ties with it
-                    # exactly, as in a full rescore
-                    if run.accepted % n == 0:
-                        sums = _root_sums(roots[i], zs, True)[::2]
-                        plog[i], inv[i] = sums
-                        run.cur = _log_M_from_sums(*sums, ws, q)
+        drawn = steps < sweep[:, None]
+        props[drawn] = _project(K, props[drawn])
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            for k in range(sweep.max()):
+                rows = np.flatnonzero(sweep > k)
+                sel = slice(None) if rows.size == len(runs) else rows
+                moved = _moved_sums((plog[sel], inv[sel]), roots[sel], zs,
+                                    orders[sel, k], props[sel, k])
+                vals = _row_scores(*moved, logw, q).tolist()
+                for row, i in enumerate(rows.tolist()):
+                    run = runs[i]
+                    run.evals += 1
+                    if vals[row] < run.cur:
+                        roots[i, orders[i, k]] = props[i, k]
+                        plog[i], inv[i] = moved[0][row], moved[1][row]
+                        run.cur = vals[row]
+                        run.improved = True
+                        run.trace.append((run.evals - 1, run.cur))
+                        run.accepted += 1
+                        # a full recompute every n accepted moves bounds
+                        # the rounding drift of the incremental sums; the
+                        # incumbent is rescored from them so that a
+                        # proposal projected back onto the same root ties
+                        # with it exactly, as in a full rescore
+                        if run.accepted % n == 0:
+                            sums = _root_sums(roots[i], zs, True)[::2]
+                            plog[i], inv[i] = sums
+                            run.cur = _log_M_from_sums(*sums, ws, q)
         for i in np.flatnonzero(sweep):
             if not runs[i].improved:
                 runs[i].radius *= 0.5

@@ -666,5 +666,61 @@ def test_nearest_boundary_s_roundtrip():
         assert abs(K.gamma(s2) - z) <= 1e-9 * K.diameter
 
 
+def nearest_boundary_s_loop(K: ConvexDomain, z) -> float:
+    """The scalar loop that nearest_boundary_s ran before it took arrays,
+    verbatim: the oracle for the array form and for the search's serial
+    oracle."""
+    if K.kind == "disk":
+        ang = math.atan2((z - K.center).imag, (z - K.center).real)
+        return (ang % geometry.TWO_PI) * K.radius
+    best = (math.inf, 0.0)
+    for i, (a, dirv, elen) in enumerate(
+            zip(K.vertices, K._edge_dir, K._edge_len)):
+        t = (z - a).real * dirv.real + (z - a).imag * dirv.imag
+        t = min(max(t, 0.0), elen)
+        p = a + t * dirv
+        dist = abs(z - p)
+        if dist < best[0]:
+            best = (dist, K._cum[i] + t)
+    return best[1] % K.perimeter
+
+
+def test_nearest_boundary_s_matches_the_scalar_loop():
+    # bit for bit, on points inside and outside K, within 1e-9 d of every
+    # vertex, and on every corner's outer bisector, where two edges tie;
+    # each point as part of an array, as a Python complex and as a numpy
+    # scalar
+    rng = trial_rng(20260818, 11)
+    domains = [ConvexDomain.unit_disk(), ConvexDomain.disk(0.3 - 0.2j, 2.5),
+               ConvexDomain.unit_square(),
+               ConvexDomain.polygon([0, 2, 0.5 + 1.3j]),
+               ConvexDomain.regular_polygon(8)]
+    domains += [random_convex_polygon(rng, vertices=k) for k in (3, 5, 9)]
+    for K in domains:
+        d = K.diameter
+        centre = complex(np.mean(K.as_clip_polygon(64)))
+        points = [centre + d * (rng.standard_normal(300)
+                                + 1j * rng.standard_normal(300))]
+        if K.kind == "polygon":
+            vs = np.array(K.vertices)
+            out = -1j * np.array(K._edge_dir)
+            bisector = out + np.roll(out, 1)
+            bisector /= np.abs(bisector)
+            for v, b in zip(vs, bisector):
+                points.append(v + 1e-9 * d * (rng.standard_normal(20)
+                                              + 1j * rng.standard_normal(20)))
+                points.append(v + b * d * rng.uniform(0.0, 2.0, 20))
+        z = np.concatenate(points)
+        got = K.nearest_boundary_s(z)
+        assert got.shape == z.shape
+        for zz, s in zip(z, got.tolist()):
+            want = nearest_boundary_s_loop(K, complex(zz))
+            assert nearest_boundary_s_loop(K, zz) == want, (K, zz)
+            for one in (K.nearest_boundary_s(complex(zz)),
+                        K.nearest_boundary_s(zz)):
+                assert type(one) is float and one == want, (K, zz)
+            assert s == want, (K, zz)
+
+
 def test_polygon_diameter_helper():
     assert polygon_diameter([0j, 1 + 0j, 1 + 1j]) == pytest.approx(SQRT2)

@@ -26,6 +26,7 @@ from oscillab.search import (
     _moved_sums,
 )
 from oscillab.polynomials import _root_sums
+from test_geometry import nearest_boundary_s_loop
 
 SEED = 20260818
 
@@ -64,6 +65,24 @@ def test_config_rejects_non_integers(field, value):
     args[field] = value
     with pytest.raises(ValueError, match=field):
         SearchConfig(**args)
+
+
+@pytest.mark.parametrize("value", [True, np.bool_(True), "2", None, 2j])
+def test_config_rejects_a_q_that_is_not_real(value):
+    # q=True once searched and recorded "q": true, and q="2" raised a
+    # TypeError from the comparison with 1
+    with pytest.raises(ValueError, match="q"):
+        SearchConfig(n=4, q=value, budget=40, seed=1)
+
+
+@pytest.mark.parametrize("value", [np.float32(2), np.int64(2), 2, 2.0])
+def test_config_stores_q_as_a_float(value):
+    # q=np.float32(2) was once kept as given, and json.dumps of the
+    # record then raised a TypeError
+    cfg = SearchConfig(n=4, q=value, budget=40, seed=1)
+    record = cfg.as_record()
+    assert type(cfg.q) is float and cfg.q == 2.0
+    assert json.loads(json.dumps(record)) == record
 
 
 def test_config_takes_numpy_integers_as_ints():
@@ -387,7 +406,7 @@ def _serial_log_M(plog: np.ndarray, inv: np.ndarray, ws: np.ndarray,
 def _serial_project(K: ConvexDomain, z: complex) -> complex:
     if K.contains(z):
         return complex(z)
-    return complex(K.gamma(K.nearest_boundary_s(z)))
+    return complex(K.gamma(nearest_boundary_s_loop(K, z)))
 
 
 def _serial_init_roots(K: ConvexDomain, config: SearchConfig,
