@@ -9,10 +9,11 @@ Gauss-Legendre rule over the norms' boundary pieces, for speed, and
 incrementally: it keeps the per-node sums of log|z - r| and 1/(z - r) over
 the roots, so a candidate that moves one root costs O(nodes), not
 O(nodes * n).  The restarts run in lock step: each keeps its own rng,
-roots, sums, radius and budget, and each tick scores the next proposal of
-every restart in one pass over (restarts, nodes) arrays, so the numpy call
-overhead of a proposal is shared and every restart's run is, bit for bit,
-the one it makes alone.  The final incumbent is re-scored with the
+roots, sums, radius and budget; each sweep projects the proposals of
+every restart with one array call, and each tick scores the next proposal
+of every restart in one pass over (restarts, nodes) arrays, so the numpy
+call overhead of a proposal is shared and every restart's run is, bit for
+bit, the one it makes alone.  The final incumbent is re-scored with the
 adaptive route, so the reported factor is the accurate one.
 """
 
