@@ -36,7 +36,7 @@ EXIT_AUDIT = 3
 EXIT_SEARCH = 4
 EXIT_COVERING = 5
 
-_FORMAT_VERSION = "2"
+_FORMAT_VERSION = "3"
 
 
 def _parse_q(text: str) -> float:
@@ -239,10 +239,7 @@ def cmd_search(args) -> int:
 
     if args.out is not None:
         out = _out_dir(args)
-        man_params = {"n": args.n, "q": args.q, "budget": args.budget,
-                      "seed": args.seed, "restarts": args.restarts,
-                      "init": args.init}
-        doc, h = _manifest("search", args.domain, man_params,
+        doc, h = _manifest("search", args.domain, config.as_record(),
                            ["search.json", "trace.csv"])
         record = result.as_record()
         record["manifest_hash"] = h

@@ -211,8 +211,9 @@ class ConvexDomain:
                              "counterclockwise order")
         edges = [vs[(i + 1) % n] - vs[i] for i in range(n)]
         for i in range(n):
+            # a cross product whose terms overflow is nan, and fails too
             c = _cross(edges[i - 1], edges[i])
-            if c <= GEOM_REL_TOL * scale * scale:
+            if not c > GEOM_REL_TOL * scale * scale:
                 raise ValueError(
                     f"polygon is not strictly convex at vertex {i} "
                     f"({vs[i].real:.6g}, {vs[i].imag:.6g})")
@@ -686,10 +687,7 @@ class AngleDiamArcReport:
 
 
 def angle_diam_arc_bounds(K: ConvexDomain, zeta: BoundaryPoint,
-                          zeta_prime: BoundaryPoint,
-                          alpha: float | None = None,
-                          alpha_prime: float | None = None
-                          ) -> AngleDiamArcReport:
+                          zeta_prime: BoundaryPoint) -> AngleDiamArcReport:
     """Quantify how flat the domain is near a short boundary chord.
 
     For boundary points at distance s with 0 < s < w, the supporting lines
@@ -702,10 +700,8 @@ def angle_diam_arc_bounds(K: ConvexDomain, zeta: BoundaryPoint,
     w, d = K.width, K.diameter
     if not (0.0 < s < w):
         raise ValueError(f"need 0 < s < w, got s={s:.6g}, w={w:.6g}")
-    a1 = zeta.alpha if alpha is None else float(alpha)
-    a2 = zeta_prime.alpha if alpha_prime is None else float(alpha_prime)
-    u1 = complex(math.cos(a1), math.sin(a1))
-    u2 = complex(math.cos(a2), math.sin(a2))
+    u1 = complex(math.cos(zeta.alpha), math.sin(zeta.alpha))
+    u2 = complex(math.cos(zeta_prime.alpha), math.sin(zeta_prime.alpha))
     cell = z2 - z1
     if abs(_cross(u1, cell)) <= K.tol or abs(_cross(u2, cell)) <= K.tol:
         raise DegenerateTangent("supporting line runs along the chord")
@@ -777,8 +773,7 @@ class TiltedSideReport:
 
 
 def tilted_side_classification(K: ConvexDomain, zeta: BoundaryPoint,
-                               phi: float,
-                               sigma: float | None = None) -> TiltedSideReport:
+                               phi: float) -> TiltedSideReport:
     """Decide which side of a tilted chord through zeta is the small one.
 
     The two chords leave zeta at angles sigma -+ phi from zero, where sigma
@@ -788,7 +783,7 @@ def tilted_side_classification(K: ConvexDomain, zeta: BoundaryPoint,
     on its side. Returns the sector of directions (at zeta) containing the
     small part.
     """
-    sigma = zeta.sigma if sigma is None else float(sigma)
+    sigma = zeta.sigma
     ch_minus = chord(K, zeta, sigma - phi)
     ch_plus = chord(K, zeta, sigma + phi)
     dm, dp = ch_minus.delta, ch_plus.delta

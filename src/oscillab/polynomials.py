@@ -134,7 +134,7 @@ def _root_sums(roots: np.ndarray, flat: np.ndarray, derivative: bool):
             ad = np.abs(diff)
             la[sl] = np.log(ad).sum(axis=1)
             if derivative:
-                nearest[sl] = ad.min(axis=1)
+                nearest[sl] = ad.min(axis=1, initial=math.inf)
                 recip[sl] = (1.0 / diff).sum(axis=1)
     return la, nearest, recip
 
@@ -193,9 +193,7 @@ def _logabs_dp(p: RootPolynomial, flat: np.ndarray):
             c = roots[k]
             cluster = np.abs(roots - c) < thresh
             m = int(cluster.sum())
-            diff = flat[group, None] - roots[~cluster]
-            log_q = np.log(np.abs(diff)).sum(axis=1)
-            dq = (1.0 / diff).sum(axis=1)
+            log_q, _, dq = _root_sums(roots[~cluster], flat[group], True)
             for i, z, lq, s in zip(group, flat[group], log_q, dq):
                 corr = abs(m + (z - c) * s)
                 if corr == 0 or (m > 1 and z == c):

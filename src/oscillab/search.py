@@ -41,7 +41,7 @@ __all__ = [
     "reference_families",
 ]
 
-_INITS = ("boundary-uniform", "interior-uniform", "corner-clustered", "user")
+_INITS = ("boundary-uniform", "interior-uniform", "corner-clustered")
 # most trace points a SearchResult keeps
 _TRACE_CAP = 1000
 
@@ -49,7 +49,8 @@ _TRACE_CAP = 1000
 @dataclass(frozen=True)
 class SearchConfig:
     """Search parameters; budget counts objective evaluations across all
-    restarts, and init names the seeding strategy for the root cloud."""
+    restarts, at least 10 n of them, and init names the seeding strategy
+    for the root cloud."""
 
     n: int
     q: float
@@ -57,7 +58,6 @@ class SearchConfig:
     seed: int
     restarts: int = 4
     init: str = "boundary-uniform"
-    init_roots: tuple = ()
 
     def __post_init__(self):
         for name in ("n", "budget", "restarts", "seed"):
@@ -69,6 +69,8 @@ class SearchConfig:
             object.__setattr__(self, name, int(value))
         if self.n < 1:
             raise ValueError("degree must be at least 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, not {self.seed}")
         if (not isinstance(self.q, numbers.Real)
                 or isinstance(self.q, (bool, np.bool_))):
             raise ValueError(f"q must be a real number, not {self.q!r}")
@@ -77,19 +79,17 @@ class SearchConfig:
             raise ValueError("q must be at least 1 (or inf)")
         if not self.budget >= self.restarts >= 1:
             raise ValueError("need budget >= restarts >= 1")
+        if self.budget < 10 * self.n:
+            raise ValueError(
+                f"budget {self.budget} too small: need at least 10*n = "
+                f"{10 * self.n} evaluations")
         if self.init not in _INITS:
             raise ValueError(f"init must be one of {_INITS}")
-        if self.init == "user":
-            if len(self.init_roots) != self.n:
-                raise ValueError("user init needs exactly n roots")
-            object.__setattr__(self, "init_roots",
-                               tuple(complex(r) for r in self.init_roots))
 
     def as_record(self) -> dict:
         return {
             "n": self.n, "q": self.q, "budget": self.budget,
             "seed": self.seed, "restarts": self.restarts, "init": self.init,
-            "init_roots": [[r.real, r.imag] for r in self.init_roots],
         }
 
 
@@ -138,16 +138,10 @@ def _moved_sums(sums, roots: np.ndarray, zs: np.ndarray, j, z):
     moves to z: add the new root's terms and subtract the old root's, in
     O(nodes).  Rows of sums and roots are independent searches, each
     moving its own root j[r] to its own z[r], all in one pass, under
-    np.errstate(divide and invalid ignored); 1-D sums and roots with a
-    scalar j and z are one search, run as one row.  A row that is not
-    finite (a root on a node) is recomputed in full by the kernel's
-    _root_sums, whose nearest-root distances the search does not use."""
+    np.errstate(divide and invalid ignored).  A row that is not finite (a
+    root on a node) is recomputed in full by the kernel's _root_sums,
+    whose nearest-root distances the search does not use."""
     plog, inv = sums
-    if plog.ndim == 1:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            plog, inv = _moved_sums((plog[None], inv[None]), roots[None],
-                                    zs, np.array([j]), np.array([z]))
-        return plog[0], inv[0]
     # the arithmetic of plog + (log|new| - log|old|) and
     # inv + (1/new - 1/old), on temporaries reused in place
     new = zs - z[:, None]
@@ -167,25 +161,16 @@ def _moved_sums(sums, roots: np.ndarray, zs: np.ndarray, j, z):
     return plog, inv
 
 
-def _log_M_from_sums(plog: np.ndarray, inv: np.ndarray, ws: np.ndarray,
-                     q: float):
-    """log of the oscillation factor of prod (z - root_j) on the fixed
-    quadrature, from its node sums (log|p|, p'/p) along the last axis: a
-    float for 1-D sums, an array of one score per row for rows."""
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        out = _row_scores(np.atleast_2d(plog), np.atleast_2d(inv),
-                          np.log(ws), q)
-    return float(out[0]) if np.ndim(plog) == 1 else out
-
-
 def _row_scores(plog: np.ndarray, inv: np.ndarray, logw: np.ndarray,
                 q: float) -> np.ndarray:
-    """_log_M_from_sums on rows (rows, nodes) of node sums, with the log
-    weights logw, under np.errstate(divide, over and invalid ignored).
-    Nodes colliding with a root drop out of both norms.  Both norms' log
-    sums come from one _log_sum pass over the stacked rows, each row the
-    value it has alone.  At a q so huge that q log|p| overflows it is no
-    ratio of L^q norms; _start rejects such a q."""
+    """log of the oscillation factor of prod (z - root_j) on the fixed
+    quadrature with log weights logw, one per row of node sums (log|p|,
+    p'/p) of shape (rows, nodes), under np.errstate(divide, over and
+    invalid ignored).  Nodes colliding with a root drop out of both
+    norms.  Both norms' log sums come from one _log_sum pass over the
+    stacked rows, each row the value it has alone.  At a q so huge that
+    q log|p| overflows it is no ratio of L^q norms; _start rejects such a
+    q."""
     dlog = np.log(np.abs(inv))
     dlog = np.add(plog, dlog, out=dlog)
     dlog[np.isnan(dlog)] = -np.inf
@@ -218,8 +203,6 @@ def _project(K: ConvexDomain, zs) -> np.ndarray:
 def _init_roots(K: ConvexDomain, config: SearchConfig,
                 rng: np.random.Generator) -> np.ndarray:
     n, L = config.n, K.perimeter
-    if config.init == "user":
-        return _project(K, config.init_roots)
     if config.init == "boundary-uniform":
         return np.asarray(K.gamma(rng.uniform(0.0, L, n)), dtype=complex)
     if config.init == "interior-uniform":
@@ -235,7 +218,7 @@ def _init_roots(K: ConvexDomain, config: SearchConfig,
     return _project(K, pick + jitter)
 
 
-def _start(K, config, restart, zs, ws):
+def _start(K, config, restart, zs, logw):
     """A restart's rng, start roots, node sums and first score.  Raises on
     an infeasible start, and at a q the final rescore could not integrate,
     so that such a q costs one score."""
@@ -244,7 +227,9 @@ def _start(K, config, restart, zs, ws):
     if not K.contains(roots).all():
         raise ValueError("infeasible start: a root lies outside K")
     sums = _root_sums(roots, zs, True)[::2]
-    cur = _log_M_from_sums(*sums, ws, config.q)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        cur = float(_row_scores(sums[0][None], sums[1][None], logw,
+                                config.q)[0])
     # at q = inf neither test below has a meaning (and inf * 0 at a node
     # with |p| = 1 warns)
     if config.q == math.inf:
@@ -297,12 +282,12 @@ def _restart_search(K, config, first, budgets, zs, ws):
     (restarts, nodes) arrays, and each restart accepts or rejects its
     own."""
     n, q = config.n, config.q
-    rngs, roots, sums, curs = zip(*(_start(K, config, first + i, zs, ws)
+    logw = np.log(ws)
+    rngs, roots, sums, curs = zip(*(_start(K, config, first + i, zs, logw)
                                     for i in range(len(budgets))))
     roots = np.array(roots)
     plog = np.array([s[0] for s in sums])
     inv = np.array([s[1] for s in sums])
-    logw = np.log(ws)
     runs = [_Run(rng, budget, cur, 0.25 * K.diameter, [(0, cur)])
             for rng, budget, cur in zip(rngs, budgets, curs)]
     orders = np.zeros(roots.shape, dtype=int)
@@ -348,9 +333,10 @@ def _restart_search(K, config, first, budgets, zs, ws):
                         # proposal projected back onto the same root ties
                         # with it exactly, as in a full rescore
                         if run.accepted % n == 0:
-                            sums = _root_sums(roots[i], zs, True)[::2]
-                            plog[i], inv[i] = sums
-                            run.cur = _log_M_from_sums(*sums, ws, q)
+                            plog[i], inv[i] = _root_sums(roots[i], zs,
+                                                         True)[::2]
+                            run.cur = float(_row_scores(
+                                plog[i:i + 1], inv[i:i + 1], logw, q)[0])
         for i in np.flatnonzero(sweep):
             if not runs[i].improved:
                 runs[i].radius *= 0.5
@@ -382,10 +368,6 @@ def minimize_oscillation(K: ConvexDomain,
     of at most _CHUNK_PAIRS // nodes restarts; each restart's run, and so
     the result, is the one the restarts would give run one after another.
     They merge deterministically in restart order."""
-    if config.budget < 10 * config.n:
-        raise ValueError(
-            f"budget {config.budget} too small: need at least 10*n = "
-            f"{10 * config.n} evaluations")
     zs, ws = _boundary_quadrature(K, config.n)
 
     base, extra = divmod(config.budget, config.restarts)

@@ -61,7 +61,7 @@ def test_geometry_square(domains, tmp_path, capsys):
     assert report["manifest_hash"]
     man = _strict_json((out / "manifest.json").read_text())
     assert man["command"] == "geometry"
-    assert man["params"] == {} and man["versions"]["format"] == "2"
+    assert man["params"] == {} and man["versions"]["format"] == "3"
     again = tmp_path / "geo2"
     assert cli.main(["geometry", "--domain", domains["square"],
                      "--out", str(again)]) == 0
@@ -256,6 +256,15 @@ def test_search_budget_too_small(domains, capsys):
                      "--budget", "10"])
     assert code == 2
     assert "budget" in capsys.readouterr().err
+
+
+def test_search_negative_seed_exits_two(domains, capsys):
+    # numpy's rng once rejected it only at the first restart, after the
+    # search quadrature was built
+    code = cli.main(["search", "--domain", domains["disk"], "--n", "5",
+                     "--budget", "100", "--seed", "-1"])
+    assert code == 2
+    assert "seed" in capsys.readouterr().err
 
 
 def test_search_incomplete_exit_code(domains, monkeypatch):
@@ -540,7 +549,7 @@ def test_fuzzed_numeric_options_exit_without_traceback(domains, argv):
 
 def test_search_at_overflowing_q_stops_at_first_score(domains, monkeypatch,
                                                      capsys):
-    scores, score = [], search._log_M_from_sums
+    scores, score = [], search._row_scores
 
     def counted(*args):
         scores.append(score(*args))
@@ -549,7 +558,7 @@ def test_search_at_overflowing_q_stops_at_first_score(domains, monkeypatch,
     # the first score is finite, but log|p| drops below -1.8 beside the
     # boundary roots, where 1e308 log|p| overflows; the search once ran
     # all 50 evaluations and the rescore then stopped on the panel bound
-    monkeypatch.setattr(search, "_log_M_from_sums", counted)
+    monkeypatch.setattr(search, "_row_scores", counted)
     assert cli.main(["search", "--domain", domains["square"], "--n", "4",
                      "--budget", "50", "--q", "1e308"]) == 2
     assert len(scores) == 1
@@ -560,13 +569,13 @@ def test_search_at_unintegrable_q_stops_at_first_score(domains, monkeypatch,
                                                        capsys):
     # q log|p| stays finite at q = 1e300, but the rescore cannot resolve
     # |p|^q; the search once spent all 50 evaluations before finding out
-    scores, score = [], search._log_M_from_sums
+    scores, score = [], search._row_scores
 
     def counted(*args):
         scores.append(score(*args))
         return scores[-1]
 
-    monkeypatch.setattr(search, "_log_M_from_sums", counted)
+    monkeypatch.setattr(search, "_row_scores", counted)
     assert cli.main(["search", "--domain", domains["square"], "--n", "4",
                      "--budget", "50", "--q", "1e300"]) == 2
     assert len(scores) == 1

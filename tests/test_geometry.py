@@ -156,6 +156,11 @@ def test_polygon_validation_errors():
         ConvexDomain.polygon([0j, 1 + 0j, 2 + 0j, 1 + 1j])
     with pytest.raises(ValueError):
         ConvexDomain.polygon([0j, 1 + 0j])
+    # the turn at each vertex is inf - inf = nan here; once accepted, the
+    # polygon then overflowed in the capacity solve
+    far = 8.98846567431158e307 + 2j
+    with pytest.raises(ValueError, match="strictly convex"):
+        ConvexDomain.polygon([far, 0j, far, 0j])
 
 
 def test_domain_json_rejects_non_finite():

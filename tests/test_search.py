@@ -22,8 +22,8 @@ from oscillab.search import (
     reference_families,
     upper_witness_check,
     _boundary_quadrature,
-    _log_M_from_sums,
     _moved_sums,
+    _row_scores,
 )
 from oscillab.polynomials import _root_sums
 from test_geometry import nearest_boundary_s_loop
@@ -34,9 +34,24 @@ DISK = ConvexDomain.unit_disk()
 SQUARE = ConvexDomain.unit_square()
 
 
+def _log_M(plog, inv, ws, q):
+    """The search objective of one row of node sums."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        return float(_row_scores(plog[None], inv[None], np.log(ws), q)[0])
+
+
 def _full_log_M(roots, zs, ws, q):
     """The search objective from node sums recomputed in full."""
-    return _log_M_from_sums(*_root_sums(roots, zs, True)[::2], ws, q)
+    return _log_M(*_root_sums(roots, zs, True)[::2], ws, q)
+
+
+def _start_at(m, roots):
+    """Patch, in the monkeypatch context m, the start of every restart of
+    the search and of its serial oracle below to the given roots."""
+    def start(K, config, rng):
+        return np.array(roots, dtype=complex)
+    m.setattr(search, "_init_roots", start)
+    m.setitem(globals(), "_serial_init_roots", start)
 
 
 def test_config_validation():
@@ -52,6 +67,10 @@ def test_config_validation():
         SearchConfig(n=3, q=2.0, budget=100, seed=1, init="magic")
     with pytest.raises(ValueError):
         SearchConfig(n=3, q=2.0, budget=100, seed=1, init="user")
+    with pytest.raises(TypeError):
+        SearchConfig(n=3, q=2.0, budget=100, seed=1, init_roots=(0j,) * 3)
+    with pytest.raises(ValueError, match="seed"):
+        SearchConfig(n=3, q=2.0, budget=100, seed=-1)
 
 
 @pytest.mark.parametrize("field, value", [
@@ -95,9 +114,8 @@ def test_config_takes_numpy_integers_as_ints():
 
 
 def test_budget_floor_rejected():
-    cfg = SearchConfig(n=8, q=2.0, budget=50, seed=1, restarts=1)
-    with pytest.raises(ValueError):
-        minimize_oscillation(DISK, cfg)
+    with pytest.raises(ValueError, match="need at least 10"):
+        SearchConfig(n=8, q=2.0, budget=50, seed=1, restarts=1)
 
 
 def test_disk_search_respects_turan_floor():
@@ -149,7 +167,7 @@ def test_incremental_objective_matches_full(K, n):
     rng = np.random.default_rng(SEED + n)
     zs, ws = _boundary_quadrature(K, n)
     roots = np.asarray(K.sample_uniform(n, rng), dtype=complex)
-    sums = _root_sums(roots, zs, True)[::2]
+    plog, inv = _root_sums(roots, zs, True)[::2]
     for move in range(300):
         j = int(rng.integers(n))
         if move == 150:
@@ -158,11 +176,14 @@ def test_incremental_objective_matches_full(K, n):
             z = complex(K.gamma(rng.uniform(0.0, K.perimeter)))
         else:
             z = complex(K.sample_uniform(1, rng)[0])
-        sums = _moved_sums(sums, roots, zs, j, z)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            plog, inv = _moved_sums((plog[None], inv[None]), roots[None],
+                                    zs, np.array([j]), np.array([z]))
+        plog, inv = plog[0], inv[0]
         roots[j] = z
         for q in (1.0, 2.0, math.inf):
             want = _full_log_M(roots, zs, ws, q)
-            assert _log_M_from_sums(*sums, ws, q) == pytest.approx(
+            assert _log_M(plog, inv, ws, q) == pytest.approx(
                 want, rel=1e-12, abs=0), (move, q)
 
 
@@ -271,14 +292,14 @@ def test_search_at_q_one_rescores_a_kink_of_the_derivative():
     assert res.best_M == inverse_markov_factor(res.best_p, SQUARE, 1.0).M
 
 
-def test_root_on_a_node_starts_without_warnings():
+def test_root_on_a_node_starts_without_warnings(monkeypatch):
     # a root on the disk's first search node makes log|p| -inf and p'/p
     # infinite at that node, which the first score and the rescore check
     # both skip
     node = complex(_boundary_quadrature(DISK, 3)[0][0])
+    _start_at(monkeypatch, (node, 0.5j, -0.5))
     res = minimize_oscillation(DISK, SearchConfig(
-        n=3, q=2.0, budget=30, seed=SEED, restarts=1, init="user",
-        init_roots=(node, 0.5j, -0.5)))
+        n=3, q=2.0, budget=30, seed=SEED, restarts=1))
     assert math.isfinite(res.best_M)
 
 
@@ -321,9 +342,9 @@ def test_witness_on_thin_rectangle():
     assert rep.passed
 
 
-def test_floor_consistency_reports_ratio():
-    cfg = SearchConfig(n=10, q=2.0, budget=800, seed=6, restarts=2,
-                       init="user", init_roots=(0j,) * 10)
+def test_floor_consistency_reports_ratio(monkeypatch):
+    _start_at(monkeypatch, (0j,) * 10)
+    cfg = SearchConfig(n=10, q=2.0, budget=800, seed=6, restarts=2)
     res = minimize_oscillation(DISK, cfg)
     rep = floor_consistency_check(DISK, 10, 2.0, res)
     assert rep.passed
@@ -412,8 +433,6 @@ def _serial_project(K: ConvexDomain, z: complex) -> complex:
 def _serial_init_roots(K: ConvexDomain, config: SearchConfig,
                        rng: np.random.Generator) -> np.ndarray:
     n, L = config.n, K.perimeter
-    if config.init == "user":
-        return np.array([_serial_project(K, r) for r in config.init_roots])
     if config.init == "boundary-uniform":
         return np.asarray(K.gamma(rng.uniform(0.0, L, n)), dtype=complex)
     if config.init == "interior-uniform":
@@ -559,11 +578,12 @@ def test_lockstep_search_matches_the_oracle_on_a_node(monkeypatch):
         node = complex(_boundary_quadrature(K, 3)[0][7])
         for q in (2.0, math.inf):
             config = SearchConfig(n=3, q=q, budget=61, seed=SEED,
-                                  restarts=3, init="user",
-                                  init_roots=(node,) * 3)
+                                  restarts=3)
             full.clear()
-            got, want = _lockstep_and_serial(monkeypatch, K, config)
-            assert got == want, (K, q)
+            with monkeypatch.context() as m:
+                _start_at(m, (node,) * 3)
+                got, want = _lockstep_and_serial(monkeypatch, K, config)
+            assert got == want and got.startswith("{"), (K, q, got)
             if K is DISK and q == 2.0:
                 # one for each start and each proposal of the lock-step
                 # run (the oracle calls its own import)
