@@ -12,6 +12,11 @@ part of the boundary or by oscillation inside the heaviest component.
 
 Arc intervals are stored as (start_s, end_s) with end_s allowed past the
 perimeter to express wrap-around; lengths are always positive.
+
+The tilted chords through the vertices and the verification mesh do not
+depend on r.  `build_covering` and `max_feasible_r` both build through
+`_build_covering` on a `_ChordFrame` of those chords, so the bisection of
+`max_feasible_r` computes them once per call, not once per step.
 """
 
 from __future__ import annotations
@@ -53,8 +58,6 @@ __all__ = [
 
 # grid points on a component arc, before the golden polish
 _ARC_GRID = 4096
-# bisection steps of max_feasible_r
-_R_BISECTIONS = 48
 
 
 def covering_tilt_angle(K: ConvexDomain) -> float:
@@ -121,23 +124,50 @@ def good_point_test(K: ConvexDomain, zeta: BoundaryPoint, r: float,
     """True when each tilted chord through zeta (directions sigma +- 2
     theta) either has length at least r or misses the interior of K.  An
     array-valued zeta gives a bool mask."""
-    if r <= 0:
-        raise ValueError("r must be positive")
     theta = covering_tilt_angle(K) if theta is None else theta
-    good = ~_short_chords(K, zeta, r, theta)[0]
+    good = ~_short(_tilted_chords(K, zeta, theta), r)[0]
     return bool(good) if good.ndim == 0 else good
 
 
-def _short_chords(K, bp, r, theta):
-    """(found, D): where a tilted chord through bp hits the interior with
-    length < r, and the far end of the shorter such chord (the minus tilt
-    on a tie)."""
-    c_m, c_p = (chord(K, bp.z, bp.sigma + sign * 2.0 * theta)
-                for sign in (-1.0, 1.0))
+def _tilted_chords(K, bp, theta):
+    """The two tilted chords through bp, directions sigma -+ 2 theta.  They
+    do not depend on r."""
+    return tuple(chord(K, bp.z, bp.sigma + sign * 2.0 * theta)
+                 for sign in (-1.0, 1.0))
+
+
+def _short(chords, r):
+    """(found, D) for the tilted chords of `_tilted_chords`: where one hits
+    the interior with length < r, and the far end of the shorter such chord
+    (the minus tilt on a tie)."""
+    if r <= 0:
+        raise ValueError("r must be positive")
+    c_m, c_p = chords
     short_m = np.logical_and(c_m.hits_interior, c_m.delta < r)
     short_p = np.logical_and(c_p.hits_interior, c_p.delta < r)
     use_p = short_p & (~short_m | (c_p.delta < c_m.delta))
     return short_m | short_p, np.where(use_p, c_p.D, c_m.D)
+
+
+def _corner_chords(K, theta):
+    """The tilted chords `_non_good_set` tests: through every vertex, or
+    through a disk's probe point s = 0."""
+    corners = 0.0 if K.kind == "disk" else K._cum_arr[:-1]
+    return _tilted_chords(K, K.boundary_point(corners), theta)
+
+
+class _ChordFrame:
+    """The r-independent chords of one covering call: the tilted chords
+    through every vertex (a disk: through its probe point s = 0) and
+    through every point of the verification mesh.  `max_feasible_r` builds
+    one for all its bisection steps; nothing keeps it past the call."""
+
+    def __init__(self, K, theta, verify_mesh):
+        self.theta = theta
+        self.corners = _corner_chords(K, theta)
+        self.mesh_s = np.linspace(0.0, K.perimeter, verify_mesh,
+                                  endpoint=False)
+        self.mesh = _tilted_chords(K, K.boundary_point(self.mesh_s), theta)
 
 
 def _elementary_arc(K, s, s_far, length_bound, phi):
@@ -160,16 +190,17 @@ def _elementary_arc(K, s, s_far, length_bound, phi):
     )
 
 
-def _non_good_set(K, r, theta):
+def _non_good_set(K, r, theta, corners):
     """The non-good boundary points as arclength intervals (lo, hi): the
     snap zone of each non-good vertex, and the ends of open polygon edges.
     There the inner normal is fixed, so a tilted chord leaves through edge
     k at t_k(s) = -c0_k(s) / c1_k (as in `chord`), affine in the edge
     offset s: its length min_k t_k(s) is concave, below r on at most one
     interval at each end.  A disk's tilted chords are 2R cos(2 theta) long.
+    corners holds the tilted chords of `_corner_chords(K, theta)`.
     """
     if K.kind == "disk":
-        if good_point_test(K, K.boundary_point(0.0), r, theta):
+        if not _short(corners, r)[0]:
             return ()
         raise FamilyTooLarge("no point of the disk is good: its tilted "
                              "chords are all 2R cos(2 theta) < r long")
@@ -190,7 +221,7 @@ def _non_good_set(K, r, theta):
     flat = (dc0 == 0.0) & (rhs > 0.0)
     left = np.where(flat, math.inf, np.where(dc0 > 0.0, root, -math.inf))
     right = np.where(flat, -math.inf, np.where(dc0 < 0.0, root, math.inf))
-    good = good_point_test(K, K.boundary_point(cum), r, theta)
+    good = ~_short(corners, r)[0]
     # vertex snap zones, then [snap, left) and (right, end] on each edge
     lo = np.concatenate([cum - snap, cum + snap,
                          cum + np.maximum(right.min(axis=(0, 2)), snap)])
@@ -205,14 +236,20 @@ def elementary_arcs(K: ConvexDomain, r: float, theta: float = None) -> tuple:
     """All distinct elementary arcs of the points one snap width inside
     both ends of every non-good interval (a vertex, for its snap zone)."""
     theta = covering_tilt_angle(K) if theta is None else theta
+    return _elementary_arcs(
+        K, r, theta, _non_good_set(K, r, theta, _corner_chords(K, theta)))
+
+
+def _elementary_arcs(K, r, theta, non_good):
+    """`elementary_arcs` on the non-good intervals non_good."""
     L = K.perimeter
     phi = wedge_angle(theta)
     length_bound = 4.0 * r * K.diameter / K.width
 
-    lo, hi = np.reshape(_non_good_set(K, r, theta), (-1, 2)).T
+    lo, hi = np.reshape(non_good, (-1, 2)).T
     inset = np.minimum(VERTEX_SNAP_REL * L, 0.5 * (hi - lo))
     bp = K.boundary_point(np.sort(np.concatenate([lo + inset, hi - inset])))
-    found, far_ends = _short_chords(K, bp, r, theta)
+    found, far_ends = _short(_tilted_chords(K, bp, theta), r)
     s_far = K.nearest_boundary_s(far_ends[found])
     arcs = {}
     for s, sf in zip(bp.s[found].tolist(), s_far.tolist()):
@@ -372,13 +409,20 @@ def build_covering(K: ConvexDomain, r: float, theta: float = None,
     component; a failure is a construction bug and raises CoveringInvalid.
     """
     theta = covering_tilt_angle(K) if theta is None else theta
+    return _build_covering(K, r, _ChordFrame(K, theta, verify_mesh))
+
+
+def _build_covering(K, r, frame):
+    """`build_covering` on the r-independent chords of frame: r enters
+    only through the chord-length tests, the non-good set's roots and the
+    chords at the inset points of `_elementary_arcs`."""
     d, w, L = K.diameter, K.width, K.perimeter
     if 108.0 * r * d / w >= d:
         raise ValueError(
             f"r={r:.6g} too large for the covering: need 108*r*d/w < d, "
             f"i.e. r < {w / 108.0:.6g}")
-
-    arcs = elementary_arcs(K, r, theta)
+    non_good = _non_good_set(K, r, frame.theta, frame.corners)
+    arcs = _elementary_arcs(K, r, frame.theta, non_good)
     fam = maximal_disjoint_family(arcs, perimeter=L)
     pad = 4.0 * r * d / w
 
@@ -414,35 +458,34 @@ def build_covering(K: ConvexDomain, r: float, theta: float = None,
         cut = (at + 0.5 * gap) % L
 
     # verification: the exact non-good set and the mesh's non-good points
-    ver = np.linspace(0.0, L, verify_mesh, endpoint=False)
-    good = good_point_test(K, K.boundary_point(ver), r, theta)
-    pieces = _non_good_set(K, r, theta) + tuple(
-        (s, s) for s in ver[~good].tolist())
+    bad = _short(frame.mesh, r)[0]
+    pieces = non_good + tuple((s, s) for s in frame.mesh_s[bad].tolist())
     exceptions = [lo % L for lo, hi in pieces
                   if not any(c.arc.covers(lo, hi, L) for c in components)]
     if exceptions:
         raise CoveringInvalid(
             f"{len(exceptions)} boundary intervals or points neither good "
             f"nor covered (first at s={min(exceptions):.9g})")
-    return Covering(tuple(components), float(r), float(theta), cut, L,
-                    checked_points=len(ver))
+    return Covering(tuple(components), float(r), float(frame.theta), cut, L,
+                    checked_points=len(frame.mesh_s))
 
 
 def max_feasible_r(K: ConvexDomain, theta: float = None) -> float:
-    """Largest r (up to bisection accuracy) for which build_covering
-    succeeds, scanning below the hard bound w/108."""
+    """Largest r for which build_covering (verification mesh 256) succeeds:
+    bisects (0, w/108) until the bracket is at most 1e-12*w wide, which
+    takes 34 steps on every domain since (w/108)/2^34 < 1e-12*w.  All steps
+    share one set of r-independent tilted chords."""
     theta = covering_tilt_angle(K) if theta is None else theta
+    frame = _ChordFrame(K, theta, 256)
     lo, hi = 0.0, K.width / 108.0
-    for _ in range(_R_BISECTIONS):
+    while hi - lo > 1e-12 * K.width:
         mid = 0.5 * (lo + hi)
         try:
-            build_covering(K, mid, theta, verify_mesh=256)
+            _build_covering(K, mid, frame)
         except (ValueError, NoCutPoint, FamilyTooLarge, CoveringInvalid):
             hi = mid
         else:
             lo = mid
-        if hi - lo <= 1e-12 * K.width:
-            break
     return lo
 
 

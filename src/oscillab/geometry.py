@@ -217,6 +217,9 @@ class ConvexDomain:
                 raise ValueError(
                     f"polygon is not strictly convex at vertex {i} "
                     f"({vs[i].real:.6g}, {vs[i].imag:.6g})")
+        if not math.isfinite(scale * scale):
+            raise ValueError(f"polygon diameter {scale:.6g} is too large: "
+                             "its square overflows")
         lens = [abs(e) for e in edges]
         self._edge_dir = [e / l for e, l in zip(edges, lens)]
         self._edge_len = lens

@@ -6,7 +6,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from oscillab import cli, search
 from oscillab.audits import AuditReport
@@ -100,6 +100,19 @@ def test_geometry_non_finite_domain_exits_two(doc, tmp_path, capsys):
     assert "finite" in capsys.readouterr().err
 
 
+_HUGE_SQUARE = {"kind": "polygon", "vertices": [[0, 0], [1e155, 0],
+                                                [1e155, 1e155], [0, 1e155]]}
+
+
+def test_geometry_overflowing_domain_exits_two(tmp_path, capsys):
+    # the square of side 1e155: its diameter squared overflows, which once
+    # gave capacity nan and exit 0
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(_HUGE_SQUARE))
+    assert cli.main(["geometry", "--domain", str(path)]) == 2
+    assert "too large" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("text", [
     '{"kind": "disk", "center": [0, 0], "radius": null}',
     '{"kind": "polygon", "vertices": 5}',
@@ -145,6 +158,7 @@ _DOMAIN_DOCS = st.one_of(
 
 
 @given(doc=_DOMAIN_DOCS)
+@example(doc=_HUGE_SQUARE)
 @settings(max_examples=200, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_geometry_fuzzed_domain_exits_zero_or_two(doc, tmp_path):

@@ -20,7 +20,7 @@ from oscillab.covering import (
     r_schedule,
     wedge_angle,
 )
-from oscillab.errors import CoveringInvalid, FamilyTooLarge
+from oscillab.errors import CoveringInvalid, FamilyTooLarge, NoCutPoint
 from oscillab.geometry import BoundaryPoint, ConvexDomain, chord
 from oscillab.polynomials import RootPolynomial
 from oscillab.sampling import random_convex_polygon
@@ -156,8 +156,8 @@ def test_exact_non_good_set_matches_chord_sweep():
         verts = np.array([K.vertex_s(i) for i in range(len(K.vertices))])
         for frac in (0.05, 0.3, 0.999):
             r = frac * K.width / 108
-            intervals = np.reshape(covering._non_good_set(K, r, theta),
-                                   (-1, 2))
+            intervals = np.reshape(covering._non_good_set(
+                K, r, theta, covering._corner_chords(K, theta)), (-1, 2))
             ends = intervals.ravel()
             # uniform points, log-spaced offsets around every vertex (into
             # its snap zone), and points right beside every interval end
@@ -295,7 +295,7 @@ def test_build_covering_square_mesh_coverage():
 def test_uncovered_non_good_points_raise_covering_invalid(monkeypatch):
     # with no elementary arcs the non-good points next to the corners stay
     # uncovered, which the verification sweep must report as a typed error
-    monkeypatch.setattr(covering, "elementary_arcs", lambda *a, **k: ())
+    monkeypatch.setattr(covering, "_elementary_arcs", lambda *a, **k: ())
     with pytest.raises(CoveringInvalid, match="neither good nor covered"):
         build_covering(SQUARE, 0.008)
 
@@ -326,6 +326,78 @@ def test_max_feasible_r_square():
     best = max_feasible_r(SQUARE)
     assert 0 < best < SQUARE.width / 108
     build_covering(SQUARE, best)
+
+
+_COVERING_ERRORS = (ValueError, NoCutPoint, FamilyTooLarge, CoveringInvalid)
+
+
+def _bisect_build_covering(K, theta):
+    """(largest r that builds, steps): max_feasible_r's bisection, run on
+    the public build_covering."""
+    lo, hi = 0.0, K.width / 108
+    steps = 0
+    while hi - lo > 1e-12 * K.width:
+        mid = 0.5 * (lo + hi)
+        steps += 1
+        try:
+            build_covering(K, mid, theta, verify_mesh=256)
+        except _COVERING_ERRORS:
+            hi = mid
+        else:
+            lo = mid
+    return lo, steps
+
+
+def test_max_feasible_r_is_the_bisection_of_build_covering():
+    rng = np.random.default_rng(SEED + 9)
+    domains = [SQUARE, ConvexDomain.polygon([0j, 3 + 0j, 3 + 1j, 1j]),
+               ConvexDomain.regular_polygon(8), DISK]
+    domains += [random_convex_polygon(rng, k) for k in range(3, 10)]
+    for K in domains:
+        for theta in (None, 1.5 * covering_tilt_angle(K)):
+            best, steps = _bisect_build_covering(K, theta)
+            assert repr(max_feasible_r(K, theta)) == repr(best), (K, theta)
+            # (w/108)/2^34 < 1e-12 w, so the stop rule ends every bisection
+            assert steps == 34
+
+
+def test_max_feasible_r_shares_its_tilted_chords(monkeypatch):
+    calls = {"chord": 0, "_non_good_set": 0}
+
+    def counted(name):
+        original = getattr(covering, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(covering, name, counted(name))
+    # two chords each at the vertices and on the verification mesh once
+    # per call, and two at the inset points per bisection step
+    max_feasible_r(SQUARE)
+    assert calls["chord"] <= 4 + 2 * 34
+    calls.update(chord=0, _non_good_set=0)
+    build_covering(SQUARE, 0.008)
+    assert calls == {"chord": 6, "_non_good_set": 1}
+
+
+def test_covering_gate_opens_on_the_square():
+    # n*: the least degree whose schedule radius r(n) = 300 (d^2/w) log n/n
+    # is feasible; r(n) decreases for n >= 3
+    best = max_feasible_r(SQUARE)
+    lo, hi = 3, 10 ** 8
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if r_schedule(mid, SQUARE).r <= best:
+            hi = mid
+        else:
+            lo = mid
+    assert 8e5 < hi < 1e6
+    build_covering(SQUARE, r_schedule(hi, SQUARE).r)
+    with pytest.raises(_COVERING_ERRORS):
+        build_covering(SQUARE, r_schedule(hi - 1, SQUARE).r)
 
 
 def test_r_schedule_disk_value():

@@ -161,6 +161,9 @@ def test_polygon_validation_errors():
     far = 8.98846567431158e307 + 2j
     with pytest.raises(ValueError, match="strictly convex"):
         ConvexDomain.polygon([far, 0j, far, 0j])
+    # the capacity solve multiplies sizes squared, which overflow here
+    with pytest.raises(ValueError, match=r"diameter 1\.41421e\+155"):
+        ConvexDomain.polygon([0j, 1e155 + 0j, 1e155 + 1e155j, 1e155j])
 
 
 def test_domain_json_rejects_non_finite():
