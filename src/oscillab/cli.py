@@ -256,6 +256,10 @@ def cmd_search(args) -> int:
     return EXIT_OK
 
 
+_COVERING_ERRORS = (ValueError, NoCutPoint, FamilyTooLarge,
+                    CoveringInvalid)
+
+
 def cmd_covering(args) -> int:
     K = _load_domain(args.domain)
     if (args.r is None) == (args.n is None):
@@ -271,10 +275,14 @@ def cmd_covering(args) -> int:
 
     try:
         cov = build_covering(K, r, theta=args.theta)
-    except (ValueError, NoCutPoint, FamilyTooLarge, CoveringInvalid) as exc:
-        suggestion = max_feasible_r(K, theta=args.theta)
+    except _COVERING_ERRORS as exc:
         print(f"covering failed: {exc}", file=sys.stderr)
-        print(f"suggested maximal r: {suggestion:.12g}", file=sys.stderr)
+        try:
+            suggestion = max_feasible_r(K, theta=args.theta)
+        except _COVERING_ERRORS as exc:
+            print(f"no feasible r: {exc}", file=sys.stderr)
+        else:
+            print(f"suggested maximal r: {suggestion!r}", file=sys.stderr)
         return EXIT_COVERING
 
     d, w = K.diameter, K.width

@@ -13,10 +13,10 @@ part of the boundary or by oscillation inside the heaviest component.
 Arc intervals are stored as (start_s, end_s) with end_s allowed past the
 perimeter to express wrap-around; lengths are always positive.
 
-The tilted chords through the vertices and the verification mesh do not
-depend on r.  `build_covering` and `max_feasible_r` both build through
-`_build_covering` on a `_ChordFrame` of those chords, so the bisection of
-`max_feasible_r` computes them once per call, not once per step.
+The construction needs the chord threshold below the hard bound
+108 r d/w < d, i.e. r < w/108, and builds at every r below it on every
+domain tried.  So `max_feasible_r` is that bound in floating point,
+checked by one build.
 """
 
 from __future__ import annotations
@@ -125,49 +125,22 @@ def good_point_test(K: ConvexDomain, zeta: BoundaryPoint, r: float,
     theta) either has length at least r or misses the interior of K.  An
     array-valued zeta gives a bool mask."""
     theta = covering_tilt_angle(K) if theta is None else theta
-    good = ~_short(_tilted_chords(K, zeta, theta), r)[0]
+    good = ~_short_chords(K, zeta, r, theta)[0]
     return bool(good) if good.ndim == 0 else good
 
 
-def _tilted_chords(K, bp, theta):
-    """The two tilted chords through bp, directions sigma -+ 2 theta.  They
-    do not depend on r."""
-    return tuple(chord(K, bp.z, bp.sigma + sign * 2.0 * theta)
-                 for sign in (-1.0, 1.0))
-
-
-def _short(chords, r):
-    """(found, D) for the tilted chords of `_tilted_chords`: where one hits
-    the interior with length < r, and the far end of the shorter such chord
-    (the minus tilt on a tie)."""
+def _short_chords(K, bp, r, theta):
+    """(found, D): where a tilted chord through bp (directions sigma -+ 2
+    theta) hits the interior with length < r, and the far end of the
+    shorter such chord (the minus tilt on a tie)."""
     if r <= 0:
         raise ValueError("r must be positive")
-    c_m, c_p = chords
+    c_m, c_p = (chord(K, bp.z, bp.sigma + sign * 2.0 * theta)
+                for sign in (-1.0, 1.0))
     short_m = np.logical_and(c_m.hits_interior, c_m.delta < r)
     short_p = np.logical_and(c_p.hits_interior, c_p.delta < r)
     use_p = short_p & (~short_m | (c_p.delta < c_m.delta))
     return short_m | short_p, np.where(use_p, c_p.D, c_m.D)
-
-
-def _corner_chords(K, theta):
-    """The tilted chords `_non_good_set` tests: through every vertex, or
-    through a disk's probe point s = 0."""
-    corners = 0.0 if K.kind == "disk" else K._cum_arr[:-1]
-    return _tilted_chords(K, K.boundary_point(corners), theta)
-
-
-class _ChordFrame:
-    """The r-independent chords of one covering call: the tilted chords
-    through every vertex (a disk: through its probe point s = 0) and
-    through every point of the verification mesh.  `max_feasible_r` builds
-    one for all its bisection steps; nothing keeps it past the call."""
-
-    def __init__(self, K, theta, verify_mesh):
-        self.theta = theta
-        self.corners = _corner_chords(K, theta)
-        self.mesh_s = np.linspace(0.0, K.perimeter, verify_mesh,
-                                  endpoint=False)
-        self.mesh = _tilted_chords(K, K.boundary_point(self.mesh_s), theta)
 
 
 def _elementary_arc(K, s, s_far, length_bound, phi):
@@ -190,17 +163,16 @@ def _elementary_arc(K, s, s_far, length_bound, phi):
     )
 
 
-def _non_good_set(K, r, theta, corners):
+def _non_good_set(K, r, theta):
     """The non-good boundary points as arclength intervals (lo, hi): the
     snap zone of each non-good vertex, and the ends of open polygon edges.
     There the inner normal is fixed, so a tilted chord leaves through edge
     k at t_k(s) = -c0_k(s) / c1_k (as in `chord`), affine in the edge
     offset s: its length min_k t_k(s) is concave, below r on at most one
     interval at each end.  A disk's tilted chords are 2R cos(2 theta) long.
-    corners holds the tilted chords of `_corner_chords(K, theta)`.
     """
     if K.kind == "disk":
-        if not _short(corners, r)[0]:
+        if not _short_chords(K, K.boundary_point(0.0), r, theta)[0]:
             return ()
         raise FamilyTooLarge("no point of the disk is good: its tilted "
                              "chords are all 2R cos(2 theta) < r long")
@@ -221,7 +193,7 @@ def _non_good_set(K, r, theta, corners):
     flat = (dc0 == 0.0) & (rhs > 0.0)
     left = np.where(flat, math.inf, np.where(dc0 > 0.0, root, -math.inf))
     right = np.where(flat, -math.inf, np.where(dc0 < 0.0, root, math.inf))
-    good = ~_short(corners, r)[0]
+    good = ~_short_chords(K, K.boundary_point(cum), r, theta)[0]
     # vertex snap zones, then [snap, left) and (right, end] on each edge
     lo = np.concatenate([cum - snap, cum + snap,
                          cum + np.maximum(right.min(axis=(0, 2)), snap)])
@@ -236,8 +208,7 @@ def elementary_arcs(K: ConvexDomain, r: float, theta: float = None) -> tuple:
     """All distinct elementary arcs of the points one snap width inside
     both ends of every non-good interval (a vertex, for its snap zone)."""
     theta = covering_tilt_angle(K) if theta is None else theta
-    return _elementary_arcs(
-        K, r, theta, _non_good_set(K, r, theta, _corner_chords(K, theta)))
+    return _elementary_arcs(K, r, theta, _non_good_set(K, r, theta))
 
 
 def _elementary_arcs(K, r, theta, non_good):
@@ -249,7 +220,7 @@ def _elementary_arcs(K, r, theta, non_good):
     lo, hi = np.reshape(non_good, (-1, 2)).T
     inset = np.minimum(VERTEX_SNAP_REL * L, 0.5 * (hi - lo))
     bp = K.boundary_point(np.sort(np.concatenate([lo + inset, hi - inset])))
-    found, far_ends = _short(_tilted_chords(K, bp, theta), r)
+    found, far_ends = _short_chords(K, bp, r, theta)
     s_far = K.nearest_boundary_s(far_ends[found])
     arcs = {}
     for s, sf in zip(bp.s[found].tolist(), s_far.tolist()):
@@ -404,25 +375,20 @@ def build_covering(K: ConvexDomain, r: float, theta: float = None,
                    verify_mesh: int = 2048) -> Covering:
     """Construct and verify the padded covering for chord threshold r.
 
-    Requires 108*r*d/w < d.  Each exact non-good interval, and each point of
-    a uniform verification mesh failing the chord test, must lie inside one
+    Requires 108*r*d/w < d, which raises ValueError before any chord is
+    computed.  Each exact non-good interval, and each point of a uniform
+    verification mesh failing the chord test, must lie inside one
     component; a failure is a construction bug and raises CoveringInvalid.
     """
     theta = covering_tilt_angle(K) if theta is None else theta
-    return _build_covering(K, r, _ChordFrame(K, theta, verify_mesh))
-
-
-def _build_covering(K, r, frame):
-    """`build_covering` on the r-independent chords of frame: r enters
-    only through the chord-length tests, the non-good set's roots and the
-    chords at the inset points of `_elementary_arcs`."""
     d, w, L = K.diameter, K.width, K.perimeter
-    if 108.0 * r * d / w >= d:
+    mesh_s = np.linspace(0.0, L, verify_mesh, endpoint=False)
+    if _too_large(K, r):
         raise ValueError(
             f"r={r:.6g} too large for the covering: need 108*r*d/w < d, "
             f"i.e. r < {w / 108.0:.6g}")
-    non_good = _non_good_set(K, r, frame.theta, frame.corners)
-    arcs = _elementary_arcs(K, r, frame.theta, non_good)
+    non_good = _non_good_set(K, r, theta)
+    arcs = _elementary_arcs(K, r, theta, non_good)
     fam = maximal_disjoint_family(arcs, perimeter=L)
     pad = 4.0 * r * d / w
 
@@ -458,35 +424,35 @@ def _build_covering(K, r, frame):
         cut = (at + 0.5 * gap) % L
 
     # verification: the exact non-good set and the mesh's non-good points
-    bad = _short(frame.mesh, r)[0]
-    pieces = non_good + tuple((s, s) for s in frame.mesh_s[bad].tolist())
+    bad = _short_chords(K, K.boundary_point(mesh_s), r, theta)[0]
+    pieces = non_good + tuple((s, s) for s in mesh_s[bad].tolist())
     exceptions = [lo % L for lo, hi in pieces
                   if not any(c.arc.covers(lo, hi, L) for c in components)]
     if exceptions:
         raise CoveringInvalid(
             f"{len(exceptions)} boundary intervals or points neither good "
             f"nor covered (first at s={min(exceptions):.9g})")
-    return Covering(tuple(components), float(r), float(frame.theta), cut, L,
-                    checked_points=len(frame.mesh_s))
+    return Covering(tuple(components), float(r), float(theta), cut, L,
+                    checked_points=len(mesh_s))
+
+
+def _too_large(K, r):
+    """Whether r breaks the covering's hard bound 108*r*d/w < d."""
+    return 108.0 * r * K.diameter / K.width >= K.diameter
 
 
 def max_feasible_r(K: ConvexDomain, theta: float = None) -> float:
-    """Largest r for which build_covering (verification mesh 256) succeeds:
-    bisects (0, w/108) until the bracket is at most 1e-12*w wide, which
-    takes 34 steps on every domain since (w/108)/2^34 < 1e-12*w.  All steps
-    share one set of r-independent tilted chords."""
-    theta = covering_tilt_angle(K) if theta is None else theta
-    frame = _ChordFrame(K, theta, 256)
-    lo, hi = 0.0, K.width / 108.0
-    while hi - lo > 1e-12 * K.width:
-        mid = 0.5 * (lo + hi)
-        try:
-            _build_covering(K, mid, frame)
-        except (ValueError, NoCutPoint, FamilyTooLarge, CoveringInvalid):
-            hi = mid
-        else:
-            lo = mid
-    return lo
+    """The largest float r within the hard bound 108*r*d/w < d of
+    build_covering: w/108 to within a few ulps.  The construction builds
+    below that bound on every domain tried, so one build_covering call
+    checks r; its failure is a construction bug and propagates."""
+    r = K.width / 108.0
+    while not _too_large(K, math.nextafter(r, math.inf)):
+        r = math.nextafter(r, math.inf)
+    while _too_large(K, r):
+        r = math.nextafter(r, 0.0)
+    build_covering(K, r, theta)
+    return r
 
 
 # ------------------------------------------------------------ schedules

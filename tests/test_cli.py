@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from oscillab import cli, search
+from oscillab import cli, covering, search
 from oscillab.audits import AuditReport
 from oscillab.errors import CoveringInvalid
 from oscillab.geometry import ConvexDomain
@@ -330,6 +330,36 @@ def test_covering_r_too_large_suggests(domains, capsys):
     assert code == 5
     err = capsys.readouterr().err
     assert "suggested maximal r" in err
+
+
+def test_covering_suggestion_builds(tmp_path, capsys):
+    # the suggested r, fed back as --r, builds the covering
+    for name, K in (("square", ConvexDomain.unit_square()),
+                    ("rect3x1", ConvexDomain.polygon([0j, 3 + 0j, 3 + 1j,
+                                                       1j])),
+                    ("octagon", ConvexDomain.regular_polygon(8)),
+                    ("disk", ConvexDomain.unit_disk())):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(K.to_json()))
+        assert cli.main(["covering", "--domain", str(path), "--r",
+                         "1"]) == 5
+        err = capsys.readouterr().err
+        r = err.split("suggested maximal r: ")[1].strip()
+        assert cli.main(["covering", "--domain", str(path), "--r", r]) == 0
+
+
+def test_covering_failed_suggestion_exits_five(domains, monkeypatch,
+                                               capsys):
+    def broken(*args, **kwargs):
+        raise CoveringInvalid("boundary point neither good nor covered")
+    monkeypatch.setattr(covering, "build_covering", broken)
+    code = cli.main(["covering", "--domain", domains["square"],
+                     "--r", "0.1"])
+    assert code == 5
+    err = capsys.readouterr().err
+    assert "too large for the covering" in err
+    assert "neither good nor covered" in err
+    assert "Traceback" not in err
 
 
 def test_covering_schedule_degree_exits_five(domains, capsys):

@@ -156,8 +156,8 @@ def test_exact_non_good_set_matches_chord_sweep():
         verts = np.array([K.vertex_s(i) for i in range(len(K.vertices))])
         for frac in (0.05, 0.3, 0.999):
             r = frac * K.width / 108
-            intervals = np.reshape(covering._non_good_set(
-                K, r, theta, covering._corner_chords(K, theta)), (-1, 2))
+            intervals = np.reshape(covering._non_good_set(K, r, theta),
+                                   (-1, 2))
             ends = intervals.ravel()
             # uniform points, log-spaced offsets around every vertex (into
             # its snap zone), and points right beside every interval end
@@ -331,56 +331,38 @@ def test_max_feasible_r_square():
 _COVERING_ERRORS = (ValueError, NoCutPoint, FamilyTooLarge, CoveringInvalid)
 
 
-def _bisect_build_covering(K, theta):
-    """(largest r that builds, steps): max_feasible_r's bisection, run on
-    the public build_covering."""
-    lo, hi = 0.0, K.width / 108
-    steps = 0
-    while hi - lo > 1e-12 * K.width:
-        mid = 0.5 * (lo + hi)
-        steps += 1
-        try:
-            build_covering(K, mid, theta, verify_mesh=256)
-        except _COVERING_ERRORS:
-            hi = mid
-        else:
-            lo = mid
-    return lo, steps
-
-
-def test_max_feasible_r_is_the_bisection_of_build_covering():
+def test_max_feasible_r_is_the_hard_bound():
+    # r builds, and the next float up breaks 108 r d/w < d
     rng = np.random.default_rng(SEED + 9)
     domains = [SQUARE, ConvexDomain.polygon([0j, 3 + 0j, 3 + 1j, 1j]),
                ConvexDomain.regular_polygon(8), DISK]
-    domains += [random_convex_polygon(rng, k) for k in range(3, 10)]
+    domains += [random_convex_polygon(rng, k) for k in range(3, 11)]
     for K in domains:
-        for theta in (None, 1.5 * covering_tilt_angle(K)):
-            best, steps = _bisect_build_covering(K, theta)
-            assert repr(max_feasible_r(K, theta)) == repr(best), (K, theta)
-            # (w/108)/2^34 < 1e-12 w, so the stop rule ends every bisection
-            assert steps == 34
+        for theta in (None, 0.999 * math.pi / 20):
+            r = max_feasible_r(K, theta)
+            build_covering(K, r, theta)
+            with pytest.raises(ValueError, match="too large"):
+                build_covering(K, math.nextafter(r, math.inf), theta)
 
 
-def test_max_feasible_r_shares_its_tilted_chords(monkeypatch):
-    calls = {"chord": 0, "_non_good_set": 0}
+def test_max_feasible_r_builds_once(monkeypatch):
+    chords, builds = [], []
 
-    def counted(name):
-        original = getattr(covering, name)
+    def counting_chord(*args, **kwargs):
+        chords.append(1)
+        return chord(*args, **kwargs)
 
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return original(*args, **kwargs)
-        return wrapper
+    def counting_build(*args, **kwargs):
+        builds.append(1)
+        return build_covering(*args, **kwargs)
 
-    for name in calls:
-        monkeypatch.setattr(covering, name, counted(name))
-    # two chords each at the vertices and on the verification mesh once
-    # per call, and two at the inset points per bisection step
-    max_feasible_r(SQUARE)
-    assert calls["chord"] <= 4 + 2 * 34
-    calls.update(chord=0, _non_good_set=0)
-    build_covering(SQUARE, 0.008)
-    assert calls == {"chord": 6, "_non_good_set": 1}
+    monkeypatch.setattr(covering, "chord", counting_chord)
+    with pytest.raises(ValueError):
+        covering.build_covering(SQUARE, SQUARE.width / 108)
+    assert chords == []
+    monkeypatch.setattr(covering, "build_covering", counting_build)
+    assert max_feasible_r(SQUARE) == 0.009259259259259257
+    assert len(builds) == 1
 
 
 def test_covering_gate_opens_on_the_square():
